@@ -4,16 +4,11 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/rng"
 )
-
-// DefaultShardRegionCap bounds conflict-region size for concurrent
-// admission, mirroring internal/dist's pipeline cap: a kill whose
-// region outgrows it falls back to a universal (fully serialized)
-// commit rather than paying an unbounded admission walk.
-const DefaultShardRegionCap = 512
 
 // ShardTicket tracks one operation through the sharded commit path.
 type ShardTicket struct {
@@ -28,61 +23,64 @@ type ShardTicket struct {
 	onDone func(*ShardTicket)
 	done   chan struct{}
 	id     int32
-	region []int32
+	nodes  []int32  // claimed nodes
+	labels []uint64 // claimed G′ component labels (may repeat)
 }
 
 // Done returns a channel closed when the ticket's commit (and onDone
 // callback) has completed.
 func (t *ShardTicket) Done() <-chan struct{} { return t.done }
 
-// ShardScheduler admits kills and joins from one serial goroutine,
-// computes each operation's conflict region (victim ∪ G-neighbors ∪
-// their G′ components — the same frozen-region definition
-// internal/dist's pipeline proved out), and hands non-conflicting
-// operations to a worker pool that commits them concurrently through
-// a ShardedState.
+// ShardScheduler admits kills and joins from one serial goroutine and
+// hands operations with disjoint claims to a worker pool that commits
+// them concurrently through a ShardedState (the full argument is in
+// internal/graph/README.md).
 //
-// Scheduling rules, in order:
+// A claim is an operation's write set: nodes plus G′ component labels
+// (current IDs), collected in O(degree) without walking G′. A kill of
+// v claims {v} ∪ N_G(v) and those nodes' labels; the labels cover its
+// MINID flood, which stays inside the components they name. A join
+// claims the new node, its attach targets, and the targets' labels,
+// because a flood charges each adopter msgSent by its G-degree. An
+// operation whose claim meets an in-flight claim waits for that owner
+// and retries, so conflicting operations serialize in issue order and
+// disjoint ones commute. Nothing falls back to a serialized commit.
 //
-//   - An operation whose region intersects an in-flight ticket's
-//     stamped region waits for that ticket and retries, so conflicting
-//     operations serialize in issue order (admission is serial, so the
-//     conflict set only ever shrinks while waiting).
-//   - A kill whose region exceeds the cap drains all in-flight work
-//     and commits inline through the sequential engine (the universal
-//     fallback).
-//   - Joins admit serially (node allocation and bookkeeping growth are
-//     the mini-barrier) and fire OnJoin hooks at admission, so join
-//     events enter any observer's log in node-index order — the order
-//     trace replay demands — while their attach edges commit
-//     concurrently.
+// Labels are read with atomic loads while floods store them
+// atomically. A node mid-flood shows its old label or the new minimum,
+// and the flooding ticket owns both, so either read is a conflict.
 //
-// All methods except worker-internal ones must be called from a single
-// goroutine (the apply loop / trial runner). Memory visibility between
-// a completed commit and later admissions is through infMu: workers
-// clear their stamps under it after mutating, and admission walks
-// regions under it.
+// The claim tables are admission-goroutine-only. Before each claim,
+// admission sweeps the in-flight list and releases the claims of
+// tickets whose Done channel is closed; workers close Done after the
+// commit, so the close orders the commit's writes before the release.
+//
+// Joins admit serially (node allocation and bookkeeping growth are the
+// mini-barrier) and fire OnJoin hooks at admission, so join events
+// enter any observer's log in node-index order — the order trace
+// replay demands — while their attach edges commit concurrently.
+//
+// All methods must be called from a single goroutine (the apply loop /
+// trial runner).
 type ShardScheduler struct {
-	ss        *ShardedState
-	healer    Healer
-	regionCap int
-	tasks     chan *ShardTicket
-	wg        sync.WaitGroup
-	workers   int
+	ss      *ShardedState
+	healer  Healer
+	tasks   chan *ShardTicket
+	wg      sync.WaitGroup
+	workers int
 
-	infMu   sync.Mutex
-	stamp   []int32                // node -> owning ticket id, 0 = free
-	live    map[int32]*ShardTicket // in-flight stamped tickets by id
-	nextID  int32
-	region  []int32  // admission scratch: the region being grown
-	visited []uint32 // admission scratch: visit-epoch stamps
-	vEpoch  uint32
+	stamp    []int32          // node -> claiming ticket id, 0 = free
+	labels   map[uint64]int32 // label -> claiming ticket id
+	inflight []*ShardTicket   // admitted tickets not yet released
+	nextID   int32
 
 	closeOnce sync.Once
 
-	// Counters (admission-goroutine only).
-	conflicts  int64 // admission waits due to region overlap
-	universals int64 // cap-exceeded serialized commits
+	conflicts int64 // admission waits due to an overlapping claim
+
+	// onWait, when set (tests only), runs on the admission goroutine
+	// just before admission blocks on a conflicting owner.
+	onWait func(owner *ShardTicket)
 }
 
 // NewShardScheduler starts a scheduler over ss with the given worker
@@ -96,16 +94,15 @@ func NewShardScheduler(ss *ShardedState, h Healer, workers int) *ShardScheduler 
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	n := ss.st.N()
 	sc := &ShardScheduler{
-		ss:        ss,
-		healer:    h,
-		regionCap: DefaultShardRegionCap,
-		tasks:     make(chan *ShardTicket, workers),
-		workers:   workers,
-		stamp:     make([]int32, n),
-		live:      make(map[int32]*ShardTicket),
-		visited:   make([]uint32, n),
+		ss:     ss,
+		healer: h,
+		// One queued ticket keeps a finishing worker fed; a deeper queue
+		// only adds queueing delay behind slow (hub) commits.
+		tasks:   make(chan *ShardTicket, 1),
+		workers: workers,
+		stamp:   make([]int32, ss.st.N()),
+		labels:  make(map[uint64]int32),
 	}
 	for i := 0; i < workers; i++ {
 		go sc.worker()
@@ -117,15 +114,17 @@ func NewShardScheduler(ss *ShardedState, h Healer, workers int) *ShardScheduler 
 func (sc *ShardScheduler) Workers() int { return sc.workers }
 
 // Conflicts returns how many admissions had to wait on an in-flight
-// conflicting ticket; Universals returns how many kills fell back to a
-// fully serialized commit. Admission-goroutine use only.
-func (sc *ShardScheduler) Conflicts() int64  { return sc.conflicts }
-func (sc *ShardScheduler) Universals() int64 { return sc.universals }
+// ticket whose claim overlapped theirs.
+func (sc *ShardScheduler) Conflicts() int64 { return sc.conflicts }
 
-// Kill submits the removal and heal of v. It blocks while v's region
-// conflicts with in-flight work, then either enqueues the commit
-// (returning as soon as it is admitted) or, past the region cap,
-// drains and commits inline. hooks (optional) fire on the committing
+// Universals always returns 0: every kill commits concurrently under
+// its label-keyed claim, and nothing falls back to a serialized commit.
+// It is kept for callers that report it.
+func (sc *ShardScheduler) Universals() int64 { return 0 }
+
+// Kill submits the removal and heal of v. It blocks while v's claim
+// overlaps in-flight work, then enqueues the commit and returns as
+// soon as it is admitted. hooks (optional) fire on the committing
 // goroutine; onDone (optional) runs after the commit, before the
 // ticket's Done channel closes, and may run on a worker goroutine.
 func (sc *ShardScheduler) Kill(v int, hooks *Hooks, onDone func(*ShardTicket)) *ShardTicket {
@@ -134,29 +133,9 @@ func (sc *ShardScheduler) Kill(v int, hooks *Hooks, onDone func(*ShardTicket)) *
 		hooks: hooks, onDone: onDone,
 		done: make(chan struct{}), Start: time.Now(),
 	}
-	for {
-		sc.infMu.Lock()
-		owner, within := sc.growKillRegion(v)
-		if owner != nil {
-			sc.conflicts++
-			ch := owner.done
-			sc.infMu.Unlock()
-			<-ch
-			continue
-		}
-		if !within {
-			sc.universals++
-			sc.infMu.Unlock()
-			sc.runUniversal(t)
-			return t
-		}
-		t.region = append(t.region, sc.region...)
-		sc.stampRegion(t)
-		sc.infMu.Unlock()
-		sc.wg.Add(1)
-		sc.tasks <- t
-		return t
-	}
+	sc.admit(t)
+	sc.dispatch(t)
+	return t
 }
 
 // Join submits a join to the given attach targets (deduplicated,
@@ -184,42 +163,18 @@ func (sc *ShardScheduler) Join(attachTo []int, r *rng.RNG, hooks *Hooks, onDone 
 		hooks: hooks, onDone: onDone,
 		done: make(chan struct{}), Start: time.Now(),
 	}
-	for {
-		sc.infMu.Lock()
-		var owner *ShardTicket
-		for _, u := range attach {
-			if id := sc.stamp[u]; id != 0 {
-				owner = sc.live[id]
-				break
-			}
-		}
-		if owner == nil {
-			break
-		}
-		sc.conflicts++
-		ch := owner.done
-		sc.infMu.Unlock()
-		<-ch
-	}
+	sc.admit(t)
 	v := sc.ss.AdmitJoin(attach, r)
 	t.Node = v
-	// The node space grew; grow the admission tables with it.
-	for len(sc.stamp) <= v {
+	for len(sc.stamp) <= v { // the node space grew
 		sc.stamp = append(sc.stamp, 0)
-		sc.visited = append(sc.visited, 0)
 	}
-	t.region = make([]int32, 0, len(attach)+1)
-	t.region = append(t.region, int32(v))
-	for _, u := range attach {
-		t.region = append(t.region, int32(u))
-	}
-	sc.stampRegion(t)
-	sc.infMu.Unlock()
+	sc.stamp[v] = t.id
+	t.nodes = append(t.nodes, int32(v))
 	if hooks != nil && hooks.OnJoin != nil {
 		hooks.OnJoin(v, attach)
 	}
-	sc.wg.Add(1)
-	sc.tasks <- t
+	sc.dispatch(t)
 	return v, t
 }
 
@@ -239,83 +194,112 @@ func (sc *ShardScheduler) Close() {
 	sc.closeOnce.Do(func() { close(sc.tasks) })
 }
 
-// growKillRegion grows v's conflict region into sc.region under infMu:
-// {v} ∪ N_G(v), closed under G′ adjacency. It returns the owning
-// ticket of the first stamped node encountered (the caller waits and
-// retries), and whether the region stayed within the cap. Reading the
-// adjacency of unstamped nodes is safe: only region owners mutate a
-// node, and completed owners' writes are visible via infMu.
-func (sc *ShardScheduler) growKillRegion(v int) (owner *ShardTicket, within bool) {
-	st := sc.ss.st
-	sc.vEpoch++
-	if sc.vEpoch == 0 { // epoch wrapped; invalidate all stale stamps
-		for i := range sc.visited {
-			sc.visited[i] = 0
+// admit sweeps completed tickets and collects t's claim until no
+// in-flight ticket owns any part of it, waiting on each owner found,
+// then stamps the claim and lists t in flight.
+func (sc *ShardScheduler) admit(t *ShardTicket) {
+	for {
+		sc.sweep()
+		owner := sc.collect(t)
+		if owner == nil {
+			break
 		}
-		sc.vEpoch = 1
+		sc.conflicts++
+		if sc.onWait != nil {
+			sc.onWait(owner)
+		}
+		<-owner.done
 	}
-	sc.region = sc.region[:0]
-	push := func(w int) (*ShardTicket, bool) {
-		if sc.visited[w] == sc.vEpoch {
-			return nil, true
-		}
-		if id := sc.stamp[w]; id != 0 {
-			return sc.live[id], false
-		}
-		sc.visited[w] = sc.vEpoch
-		sc.region = append(sc.region, int32(w))
-		return nil, true
-	}
-	if o, ok := push(v); !ok {
-		return o, false
-	}
-	for _, u := range st.G.Neighbors(v) {
-		if o, ok := push(int(u)); !ok {
-			return o, false
-		}
-	}
-	for head := 0; head < len(sc.region); head++ {
-		if len(sc.region) > sc.regionCap {
-			return nil, false
-		}
-		for _, u := range st.Gp.Neighbors(int(sc.region[head])) {
-			if o, ok := push(int(u)); !ok {
-				return o, false
-			}
-		}
-	}
-	return nil, len(sc.region) <= sc.regionCap
-}
-
-// stampRegion claims t's region; caller holds infMu.
-func (sc *ShardScheduler) stampRegion(t *ShardTicket) {
 	sc.nextID++
 	if sc.nextID <= 0 { // wrapped; 0 is the free marker
 		sc.nextID = 1
 	}
 	t.id = sc.nextID
-	for _, w := range t.region {
+	for _, w := range t.nodes {
 		sc.stamp[w] = t.id
 	}
-	sc.live[t.id] = t
+	for _, l := range t.labels {
+		sc.labels[l] = t.id
+	}
+	sc.inflight = append(sc.inflight, t)
 }
 
-// runUniversal commits t through the sequential engine after draining
-// all in-flight work — the cap-exceeded fallback. Admission is serial,
-// so nothing can be admitted while this runs.
-func (sc *ShardScheduler) runUniversal(t *ShardTicket) {
-	sc.wg.Wait()
-	sc.ss.Sync()
-	st := sc.ss.st
-	prev := st.hooks
-	st.SetHooks(t.hooks)
-	t.HR = st.DeleteAndHeal(t.Node, t.healer)
-	st.SetHooks(prev)
-	sc.ss.notePeakEdges(t.HR.Added)
-	if t.onDone != nil {
-		t.onDone(t)
+// collect gathers t's claimed nodes and labels, or returns the
+// in-flight owner of some part of them. A kill's victim stamp is
+// checked before its adjacency is read: only its owner may change it.
+// Consecutive repeated labels are skipped; other repeats are harmless.
+func (sc *ShardScheduler) collect(t *ShardTicket) *ShardTicket {
+	t.nodes, t.labels = t.nodes[:0], t.labels[:0]
+	if t.Kill {
+		if o := sc.nodeOwner(t.Node); o != nil {
+			return o
+		}
+		t.nodes = append(t.nodes, int32(t.Node))
+		t.nodes = append(t.nodes, sc.ss.st.G.Neighbors(t.Node)...)
+	} else {
+		for _, u := range t.Attach {
+			t.nodes = append(t.nodes, int32(u))
+		}
 	}
-	close(t.done)
+	for _, u := range t.nodes {
+		if o := sc.nodeOwner(int(u)); o != nil {
+			return o
+		}
+		l := atomic.LoadUint64(&sc.ss.st.curID[u])
+		if n := len(t.labels); n > 0 && t.labels[n-1] == l {
+			continue
+		}
+		if id, ok := sc.labels[l]; ok {
+			return sc.owner(id)
+		}
+		t.labels = append(t.labels, l)
+	}
+	return nil
+}
+
+// nodeOwner returns the in-flight ticket claiming v, or nil.
+func (sc *ShardScheduler) nodeOwner(v int) *ShardTicket {
+	if id := sc.stamp[v]; id != 0 {
+		return sc.owner(id)
+	}
+	return nil
+}
+
+// owner finds the in-flight ticket with the given id.
+func (sc *ShardScheduler) owner(id int32) *ShardTicket {
+	for _, t := range sc.inflight {
+		if t.id == id {
+			return t
+		}
+	}
+	panic(fmt.Sprintf("core: claim held by unknown ticket %d", id))
+}
+
+// sweep releases the claims of every in-flight ticket whose commit has
+// completed. Receiving from the closed Done channel is what makes the
+// commit's writes visible to admission.
+func (sc *ShardScheduler) sweep() {
+	live := sc.inflight[:0]
+	for _, t := range sc.inflight {
+		select {
+		case <-t.done:
+			for _, w := range t.nodes {
+				sc.stamp[w] = 0
+			}
+			for _, l := range t.labels {
+				delete(sc.labels, l)
+			}
+		default:
+			live = append(live, t)
+		}
+	}
+	clear(sc.inflight[len(live):])
+	sc.inflight = live
+}
+
+func (sc *ShardScheduler) dispatch(t *ShardTicket) {
+	sc.wg.Add(1)
+	sc.tasks <- t
 }
 
 func (sc *ShardScheduler) worker() {
@@ -327,18 +311,14 @@ func (sc *ShardScheduler) worker() {
 			sc.ss.CommitJoin(t.Node, t.Attach)
 		}
 		sc.ss.end()
-		sc.infMu.Lock()
-		for _, w := range t.region {
-			if sc.stamp[w] == t.id {
-				sc.stamp[w] = 0
-			}
-		}
-		delete(sc.live, t.id)
-		sc.infMu.Unlock()
 		if t.onDone != nil {
 			t.onDone(t)
 		}
 		close(t.done)
 		sc.wg.Done()
+		// The close may have woken admission, which then waits in this
+		// P's run queue; yield so it runs now rather than after the
+		// next commit.
+		runtime.Gosched()
 	}
 }

@@ -10,21 +10,23 @@ import (
 )
 
 // ShardedState layers the concurrent commit path over a State: kills
-// and joins whose conflict regions are disjoint (the invariant
-// ShardScheduler enforces, mirroring internal/dist's pipelined-epoch
-// scheduler) commit from different goroutines at once, mutating the
+// and joins whose claims are disjoint (the invariant ShardScheduler
+// enforces) commit from different goroutines at once, mutating the
 // shared graphs through graph.Sharded wrappers.
 //
 // Division of labor for safety (the full argument is in
 // internal/graph/README.md):
 //
-//   - Exclusive ownership of every node a commit reads or structurally
-//     writes comes from the scheduler's region stamps. Within its
-//     region a commit uses plain loads and stores, exactly like the
-//     sequential engine.
-//   - The only out-of-region writes are the Lemma 8 "ring" counters:
-//     an adopting node bumps msgRecv of all its G neighbors, which may
-//     belong to other regions. Those are atomic adds — commutative, so
+//   - A commit's write set is nodes plus G′ component labels, claimed
+//     at admission. The nodes cover every adjacency row and per-node
+//     field it writes outside the flood; the labels cover every node
+//     the MINID flood visits. Within its claim a commit uses plain
+//     loads and stores, exactly like the sequential engine — except
+//     that floods store curID atomically, because admission loads the
+//     labels of other operations' nodes while floods run.
+//   - The only out-of-claim writes are the Lemma 8 "ring" counters: an
+//     adopting node bumps msgRecv of all its G neighbors, which may
+//     belong to other claims. Those are atomic adds — commutative, so
 //     any commit interleaving yields the sequential totals.
 //   - Global scalars (rounds, flood depths, dropped weight, peak δ)
 //     accumulate in atomics — sums and max-merges, commutative again —
@@ -111,8 +113,8 @@ func (ss *ShardedState) Sync() {
 }
 
 // SupportsSharded reports whether h can run on the sharded commit
-// path. DASH and SDASH qualify: both heal strictly inside the conflict
-// region. Other healers fall back to the single-writer path.
+// path. DASH and SDASH qualify: both heal strictly inside the
+// scheduler's node-and-label claim. Other healers fall back to the single-writer path.
 func SupportsSharded(h Healer) bool {
 	switch h.(type) {
 	case DASH, SDASH:
@@ -122,7 +124,7 @@ func SupportsSharded(h Healer) bool {
 }
 
 // CommitKill removes x and heals with h, the concurrent counterpart of
-// State.DeleteAndHeal. The caller must own x's conflict region and
+// State.DeleteAndHeal. The caller must own x's claim and
 // bracket the call in begin/end (ShardScheduler does both). Hooks fire
 // synchronously on the committing goroutine.
 func (ss *ShardedState) CommitKill(x int, h Healer, hk *Hooks) HealResult {
@@ -136,7 +138,7 @@ func (ss *ShardedState) CommitKill(x int, h Healer, hk *Hooks) HealResult {
 		GNbrs:  st.G.AppendNeighbors(nil, x),
 		GpNbrs: st.Gp.AppendNeighbors(nil, x),
 	}
-	// Weight hand-off: the receiving node is always in the region, so
+	// Weight hand-off: the receiving node is a claimed neighbor, so
 	// the plain store is exclusive; only fully-isolated drops touch the
 	// global counter.
 	switch {
@@ -160,9 +162,9 @@ func (ss *ShardedState) CommitKill(x int, h Healer, hk *Hooks) HealResult {
 }
 
 // heal mirrors DASH.Heal / SDASH.Heal on the sharded primitives. The
-// reconnection set, δ ordering, wiring, and MINID flood all read and
-// write region-owned nodes only (RT ⊆ N(x,G) ∪ N(x,G′) and the flood
-// stays inside the merged G′ component, both covered by the region).
+// reconnection set, δ ordering, and wiring touch claimed nodes only
+// (RT ⊆ N(x,G), since G′ ⊆ G), and the MINID flood stays inside the
+// merged G′ component, whose every node carries a claimed label.
 func (ss *ShardedState) heal(d Deletion, h Healer, hk *Hooks) HealResult {
 	st := ss.st
 	switch h.(type) {
@@ -232,9 +234,10 @@ func (ss *ShardedState) wireStar(center int, members []int, hk *Hooks) [][2]int 
 }
 
 // propagateMinID is State.PropagateMinID for one concurrent commit.
-// Labels, ID-change counts, and msgSent belong to region-owned nodes
-// (plain stores); msgRecv of the adopters' G neighbors is the one
-// write that crosses region boundaries, so it is an atomic add —
+// Every node it relabels carries a label the commit owns, so ID-change
+// counts and msgSent are plain stores; labels are stored atomically for
+// admission's concurrent loads. msgRecv of the adopters' G neighbors is
+// the one write that crosses claim boundaries, so it is an atomic add —
 // commutative with every other in-flight commit, exactly the argument
 // internal/dist's pipeline uses for its notification ring.
 func (ss *ShardedState) propagateMinID(rt []int, hk *Hooks) {
@@ -249,7 +252,7 @@ func (ss *ShardedState) propagateMinID(rt []int, hk *Hooks) {
 		}
 	}
 	adopt := func(v int) {
-		st.curID[v] = minID
+		atomic.StoreUint64(&st.curID[v], minID)
 		st.idChanges[v]++
 		nbrs := st.G.Neighbors(v)
 		st.msgSent[v] += int64(len(nbrs))
@@ -291,7 +294,7 @@ func (ss *ShardedState) propagateMinID(rt []int, hk *Hooks) {
 // run on the scheduler's serial admission goroutine (never inside a
 // begin/end bracket: AddNode takes the grow locks exclusively, which
 // is the brief mini-barrier that makes concurrent commits safe against
-// array growth). attachTo must be alive, unstamped, and duplicate-free.
+// array growth). attachTo must be alive, unclaimed, and duplicate-free.
 func (ss *ShardedState) AdmitJoin(attachTo []int, r *rng.RNG) int {
 	st := ss.st
 	for _, u := range attachTo {
@@ -341,7 +344,7 @@ func (ss *ShardedState) CommitJoin(v int, attachTo []int) {
 }
 
 // notePeakEdges max-merges the post-heal δ of every added-edge
-// endpoint into the running peak; endpoints are region-owned so the
+// endpoint into the running peak; endpoints are claimed nodes, so the
 // degree reads are exclusive.
 func (ss *ShardedState) notePeakEdges(added [][2]int) {
 	for _, e := range added {

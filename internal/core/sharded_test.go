@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/rng"
@@ -204,36 +205,42 @@ func TestShardedDifferentialKillsOnly(t *testing.T) {
 	requireStateEqual(t, seq, conc, "kills-only")
 }
 
-// TestShardedUniversalFallback forces the region cap low enough that
-// most kills take the drain-and-serialize path and checks that the mix
-// of universal and concurrent commits still matches the sequential
-// engine exactly.
-func TestShardedUniversalFallback(t *testing.T) {
+// TestShardedDifferentialScale runs the differential at the size where
+// G′ components grow past any small bound: BA(m=3), n=5·10⁴, 3·10⁴
+// mixed ops (2:1 kill:join), DASH and SDASH, 2 and 4 workers, 16
+// shards. A region-walking scheduler sent most of these kills through
+// a serialized fallback; label-keyed claims commit them all
+// concurrently, and the State must still match the sequential engine
+// bit for bit.
+func TestShardedDifferentialScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale differential; run without -short")
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const n, m = 200, 3
-	ops := genShardOps(n, 150, 4, 0xcafe)
-	seq, conc := buildPair(n, m, 99)
-	applySequential(seq, DASH{}, ops, 2)
-
-	ss := NewShardedState(conc, 4)
-	sched := NewShardScheduler(ss, DASH{}, 4)
-	sched.regionCap = 6
-	idR := rng.New(2)
-	for _, op := range ops {
-		if op.kill {
-			sched.Kill(op.v, nil, nil)
-		} else {
-			sched.Join(op.attach, idR, nil, nil)
+	const n, m, shards = 50000, 3, 16
+	ops := genShardOps(n, 30000, 3, 0x5ca1e)
+	for _, h := range []Healer{DASH{}, SDASH{}} {
+		seq, _ := buildPair(n, m, 11)
+		applySequential(seq, h, ops, 0x1d)
+		for _, workers := range []int{2, 4} {
+			ctx := fmt.Sprintf("scale/%s/workers=%d", h.Name(), workers)
+			_, conc := buildPair(n, m, 11)
+			sched := NewShardScheduler(NewShardedState(conc, shards), h, workers)
+			idR := rng.New(0x1d)
+			for _, op := range ops {
+				if op.kill {
+					sched.Kill(op.v, nil, nil)
+				} else if got, _ := sched.Join(op.attach, idR, nil, nil); got != op.v {
+					t.Fatalf("%s: join index diverged: %d vs %d", ctx, got, op.v)
+				}
+			}
+			sched.Close()
+			requireStateEqual(t, seq, conc, ctx)
 		}
 	}
-	if sched.Universals() == 0 {
-		t.Fatal("expected universal fallbacks with regionCap=6")
-	}
-	sched.Close()
-	requireStateEqual(t, seq, conc, "universal-fallback")
 }
 
-// TestShardedConflictChain builds a line graph — every kill's region
+// TestShardedConflictChain builds a line graph — every kill's claim
 // overlaps its neighbors' — so admission must chain conflicting
 // commits in issue order; the result must still be exact.
 func TestShardedConflictChain(t *testing.T) {
@@ -259,17 +266,17 @@ func TestShardedConflictChain(t *testing.T) {
 
 // TestShardedCommitOrderExhaustive is the small-config interleaving
 // check in the style of internal/dist/modelcheck: for small graphs and
-// sets of region-disjoint operations, EVERY commit completion order is
+// sets of claim-disjoint operations, EVERY commit completion order is
 // enumerated (the scheduler's only nondeterminism — admission is
 // serial) by applying the commit bodies through the sharded primitives
 // in each permutation, and every ordering must produce a State
 // bit-identical to the sequential engine applying issue order. This is
-// the executable form of the commutativity argument: disjoint regions
+// the executable form of the commutativity argument: disjoint claims
 // touch disjoint plain state, and all shared counters are commutative
 // sums or max-merges.
 func TestShardedCommitOrderExhaustive(t *testing.T) {
 	const n = 24
-	// Three well-separated victims on a ring: regions {v-1, v, v+1} are
+	// Three well-separated victims on a ring: claims {v-1, v, v+1} are
 	// pairwise disjoint, plus a join attached far from all of them.
 	type cfg struct {
 		name  string
@@ -325,38 +332,120 @@ func TestShardedCommitOrderExhaustive(t *testing.T) {
 	}
 }
 
-// TestShardedRegionMatchesPipelineDefinition pins the admission
-// region: victim ∪ G-neighbors ∪ the G′ components of those, exactly
-// the conflict region internal/dist's pipeline froze.
-func TestShardedRegionMatchesPipelineDefinition(t *testing.T) {
-	st := NewState(gen.Ring(12), rng.New(1))
-	// Grow a G′ component: kill 3, DASH reconnects 2-4 through G′.
+// ringWithHealedPair is Ring(12) after killing 3 with DASH: the heal
+// wires 2–4 into G and G′, so {2,4} is one G′ component with one label.
+func ringWithHealedPair(seed uint64) *State {
+	st := NewState(gen.Ring(12), rng.New(seed))
 	st.DeleteAndHeal(3, DASH{})
-	ss := NewShardedState(st, 2)
-	sched := NewShardScheduler(ss, DASH{}, 1)
+	return st
+}
+
+// TestShardedKillClaimIsNodesAndLabels pins the kill claim: killing 2
+// claims the nodes {2} ∪ N_G(2) = {1, 2, 4} and exactly their labels,
+// {curID(1), curID(2) = curID(4)} — no walk into G′ components.
+func TestShardedKillClaimIsNodesAndLabels(t *testing.T) {
+	st := ringWithHealedPair(1)
+	sched := NewShardScheduler(NewShardedState(st, 2), DASH{}, 1)
 	defer sched.Close()
-	owner, within := func() (*ShardTicket, bool) {
-		sched.infMu.Lock()
-		defer sched.infMu.Unlock()
-		return sched.growKillRegion(2)
-	}()
-	if owner != nil || !within {
-		t.Fatalf("unexpected admission outcome: owner=%v within=%v", owner, within)
+	tk := &ShardTicket{Kill: true, Node: 2}
+	if o := sched.collect(tk); o != nil {
+		t.Fatalf("unexpected owner %d on an idle scheduler", o.id)
 	}
-	got := map[int]bool{}
-	for _, w := range sched.region {
-		got[int(w)] = true
+	nodes := map[int]bool{}
+	for _, w := range tk.nodes {
+		nodes[int(w)] = true
 	}
-	// Region of killing 2: {2} ∪ N_G(2)={1,4} ∪ G′-components: 2's G′
-	// component is {2,4} (healed edge), 1's is {1}, 4's is {2,4}.
-	for _, w := range []int{1, 2, 4} {
-		if !got[w] {
-			t.Fatalf("region %v missing %d", sched.region, w)
+	if len(nodes) != 3 || !nodes[1] || !nodes[2] || !nodes[4] {
+		t.Fatalf("claimed nodes %v, want {1,2,4}", tk.nodes)
+	}
+	if st.CurID(2) != st.CurID(4) || st.CurID(1) == st.CurID(2) {
+		t.Fatalf("setup: labels 1=%d 2=%d 4=%d", st.CurID(1), st.CurID(2), st.CurID(4))
+	}
+	labels := map[uint64]bool{}
+	for _, l := range tk.labels {
+		labels[l] = true
+	}
+	if len(labels) != 2 || !labels[st.CurID(1)] || !labels[st.CurID(2)] {
+		t.Fatalf("claimed labels %v, want {%d, %d}", tk.labels, st.CurID(1), st.CurID(2))
+	}
+}
+
+// claimWaitCase submits first with its commit held at OnRemove until
+// admission of second blocks on it, so the conflict is deterministic.
+// It returns the scheduler's conflict count and the owner second
+// waited on (nil if it never waited).
+func claimWaitCase(t *testing.T, st *State, first int, second func(*ShardScheduler)) (int64, *ShardTicket) {
+	t.Helper()
+	sched := NewShardScheduler(NewShardedState(st, 4), DASH{}, 2)
+	release := make(chan struct{})
+	var waitedOn *ShardTicket
+	sched.onWait = func(o *ShardTicket) {
+		if waitedOn == nil {
+			waitedOn = o
+			close(release)
 		}
 	}
-	if len(got) != 3 {
-		t.Fatalf("region %v larger than {1,2,4}", sched.region)
+	// The timeout turns a missed conflict into a failure below rather
+	// than a hang (a join's admission would block on the held commit).
+	hold := &Hooks{OnRemove: func(int) {
+		select {
+		case <-release:
+		case <-time.After(10 * time.Second):
+		}
+	}}
+	tk := sched.Kill(first, hold, nil)
+	second(sched)
+	if waitedOn == nil {
+		close(release) // unblock the held commit so Close can drain
 	}
+	sched.Close()
+	if waitedOn != nil && waitedOn != tk {
+		t.Fatalf("waited on ticket %d, want the first kill's %d", waitedOn.id, tk.id)
+	}
+	return sched.Conflicts(), waitedOn
+}
+
+// TestShardedSharedComponentConflict: killing 1 claims {0,1,2} and
+// killing 5 claims {4,5,6} — disjoint nodes — but 2 and 4 share one G′
+// component, so both kills claim its label and must serialize. The
+// result must still match the sequential engine.
+func TestShardedSharedComponentConflict(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	seq := ringWithHealedPair(1)
+	seq.DeleteAndHeal(1, DASH{})
+	seq.DeleteAndHeal(5, DASH{})
+	conc := ringWithHealedPair(1)
+	conflicts, owner := claimWaitCase(t, conc, 1, func(sc *ShardScheduler) { sc.Kill(5, nil, nil) })
+	if owner == nil || conflicts == 0 {
+		t.Fatalf("kills sharing a G′ component did not conflict (conflicts=%d)", conflicts)
+	}
+	requireStateEqual(t, seq, conc, "shared-component")
+}
+
+// TestShardedJoinWaitsOnRelabel: killing 1 merges {0} with {2,4} and
+// floods the smaller label over the larger side. A join attaching to 4
+// — not a node the kill claims, but in a component it relabels — must
+// wait for the flood, or the flood's msgSent for 4 would depend on
+// whether the join's edge landed first.
+func TestShardedJoinWaitsOnRelabel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	seed := uint64(1)
+	for ringWithHealedPair(seed).CurID(4) < ringWithHealedPair(seed).CurID(0) {
+		seed++ // want {2,4} to be the side the flood relabels
+	}
+	seq := ringWithHealedPair(seed)
+	before := seq.IDChanges(4)
+	seq.DeleteAndHeal(1, DASH{})
+	if seq.IDChanges(4) == before {
+		t.Fatal("setup: killing 1 did not relabel 4")
+	}
+	seq.Join([]int{4}, rng.New(9))
+	conc := ringWithHealedPair(seed)
+	conflicts, owner := claimWaitCase(t, conc, 1, func(sc *ShardScheduler) { sc.Join([]int{4}, rng.New(9), nil, nil) })
+	if owner == nil || conflicts == 0 {
+		t.Fatalf("join into a relabeling component did not wait (conflicts=%d)", conflicts)
+	}
+	requireStateEqual(t, seq, conc, "join-waits-on-relabel")
 }
 
 // permutations returns all permutations of [0, n).

@@ -123,7 +123,6 @@ type frameState struct {
 	seq      uint64
 	attempts int
 	lastTx   time.Time
-	acked    bool
 }
 
 // relChan is the reliable-delivery state of one directed channel:
@@ -185,6 +184,10 @@ type chaosTransport struct {
 	dups    atomic.Int64
 	delays  atomic.Int64
 	retrans atomic.Int64
+
+	// afterRegister, when set (tests only), runs in deliver between a
+	// frame's registration and its first transmission.
+	afterRegister func()
 }
 
 func newChaosTransport(nw *Network, plan *chaos.Plan) (*chaosTransport, error) {
@@ -227,30 +230,27 @@ func (ct *chaosTransport) deliver(to int, msg message) {
 		return
 	}
 	ch := ct.channel(msg.from, to)
+	// Registration claims the first attempt under the same lock, so a
+	// retransmit scan never sees a registered frame that has not been
+	// counted as sent (attempts == 0 would make the backoff shift
+	// negative, and a zero lastTx would make the frame due at once).
 	ch.mu.Lock()
 	ch.nextSeq++
-	fr := &frameState{msg: msg, seq: ch.nextSeq}
+	fr := &frameState{msg: msg, seq: ch.nextSeq, attempts: 1, lastTx: time.Now()}
 	ch.unacked[fr.seq] = fr
 	ch.mu.Unlock()
-	ct.transmit(ch, msg.from, to, fr)
+	if ct.afterRegister != nil {
+		ct.afterRegister()
+	}
+	ct.transmit(ch, msg.from, to, fr.seq, msg, 1)
 }
 
 // transmit performs one transmission attempt of a frame, drawing its
-// deterministic fate from the plan. Attempts past the plan's bypass
-// threshold ignore the probabilistic faults, which is what bounds how
-// long any single frame can be withheld.
-func (ct *chaosTransport) transmit(ch *relChan, from, to int, fr *frameState) {
-	ch.mu.Lock()
-	if fr.acked {
-		ch.mu.Unlock()
-		return
-	}
-	fr.attempts++
-	attempt := fr.attempts
-	fr.lastTx = time.Now()
-	seq, msg := fr.seq, fr.msg
-	ch.mu.Unlock()
-
+// deterministic fate from the plan. The caller has already counted the
+// attempt under ch.mu. Attempts past the plan's bypass threshold ignore
+// the probabilistic faults, which is what bounds how long any single
+// frame can be withheld.
+func (ct *chaosTransport) transmit(ch *relChan, from, to int, seq uint64, msg message, attempt int) {
 	if ct.plan.PartitionDrop(from, to, attempt) {
 		ct.drops.Add(1)
 		return
@@ -331,9 +331,8 @@ func (ct *chaosTransport) arrive(ch *relChan, from, to int, seq uint64, msg mess
 		// Duplicate of an already-delivered frame: discard (still acks).
 	}
 	if attempt > ct.plan.MaxAttemptsOrDefault() || !ct.plan.AckDrop(from, to, ch.expect) {
-		for s, fr := range ch.unacked {
+		for s := range ch.unacked {
 			if s <= ch.expect {
-				fr.acked = true
 				delete(ch.unacked, s)
 			}
 		}
@@ -377,53 +376,60 @@ func (ct *chaosTransport) maybeCrash(to int, kind msgKind) {
 	}
 }
 
-// retransmitLoop periodically rescans every channel for unacked frames
-// whose backoff window has elapsed and transmits them again. Backoff is
-// exponential in the attempt count, capped at chaos.DefaultRTOCap.
+// retransmitLoop runs scanRetransmits every half base RTO until the
+// transport closes.
 func (ct *chaosTransport) retransmitLoop() {
 	defer ct.wg.Done()
-	base := ct.plan.RTOOrDefault()
-	tick := time.NewTicker(base / 2)
+	tick := time.NewTicker(ct.plan.RTOOrDefault() / 2)
 	defer tick.Stop()
 	for {
 		select {
 		case <-ct.stop:
 			return
 		case <-tick.C:
+			ct.scanRetransmits(time.Now())
 		}
-		ct.mu.Lock()
-		keys := make([]chKey, 0, len(ct.chans))
-		for k := range ct.chans {
-			keys = append(keys, k)
-		}
-		chans := make([]*relChan, len(keys))
-		for i, k := range keys {
-			chans[i] = ct.chans[k]
-		}
-		ct.mu.Unlock()
-		now := time.Now()
-		for i, ch := range chans {
-			var due []*frameState
-			ch.mu.Lock()
-			for _, fr := range ch.unacked {
-				shift := fr.attempts - 1
-				if shift > 5 {
-					shift = 5
-				}
-				backoff := base << shift
-				if backoff > chaos.DefaultRTOCap {
-					backoff = chaos.DefaultRTOCap
-				}
-				if now.Sub(fr.lastTx) >= backoff {
-					due = append(due, fr)
-				}
+	}
+}
+
+// scanRetransmits transmits again every unacked frame whose backoff
+// window has elapsed at now. Backoff is exponential in the attempt
+// count, capped at chaos.DefaultRTOCap. A due frame's next attempt is
+// claimed (counted and stamped) under the channel lock in the same step
+// that found it due, so no other scan can claim it twice.
+func (ct *chaosTransport) scanRetransmits(now time.Time) {
+	base := ct.plan.RTOOrDefault()
+	ct.mu.Lock()
+	keys := make([]chKey, 0, len(ct.chans))
+	for k := range ct.chans {
+		keys = append(keys, k)
+	}
+	chans := make([]*relChan, len(keys))
+	for i, k := range keys {
+		chans[i] = ct.chans[k]
+	}
+	ct.mu.Unlock()
+	type attempt struct {
+		seq uint64
+		msg message
+		n   int
+	}
+	for i, ch := range chans {
+		var due []attempt
+		ch.mu.Lock()
+		for _, fr := range ch.unacked {
+			backoff := min(base<<min(fr.attempts-1, 5), chaos.DefaultRTOCap)
+			if now.Sub(fr.lastTx) >= backoff {
+				fr.attempts++
+				fr.lastTx = now
+				due = append(due, attempt{fr.seq, fr.msg, fr.attempts})
 			}
-			ch.mu.Unlock()
-			sort.Slice(due, func(a, b int) bool { return due[a].seq < due[b].seq })
-			for _, fr := range due {
-				ct.retrans.Add(1)
-				ct.transmit(ch, keys[i].from, keys[i].to, fr)
-			}
+		}
+		ch.mu.Unlock()
+		sort.Slice(due, func(a, b int) bool { return due[a].seq < due[b].seq })
+		for _, a := range due {
+			ct.retrans.Add(1)
+			ct.transmit(ch, keys[i].from, keys[i].to, a.seq, a.msg, a.n)
 		}
 	}
 }

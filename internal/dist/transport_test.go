@@ -396,3 +396,43 @@ func TestTrackerNoEpochLeak(t *testing.T) {
 		t.Fatalf("%d epochs still registered in the pipeline after drain", open)
 	}
 }
+
+// TestChaosRetransmitScanDuringRegistration pins the registration race
+// in the chaos transport deterministically: a retransmit scan runs in
+// the window between a frame's registration and its first send. A
+// frame registered with no attempt counted made the scan compute a
+// negative backoff shift (a runtime panic) and, with a zero lastTx,
+// treat the frame as overdue and send it twice. Under a zero-fault plan
+// the frame must go out exactly once and land in the mailbox once.
+func TestChaosRetransmitScanDuringRegistration(t *testing.T) {
+	nw := assemble(gen.Ring(4), []uint64{10, 11, 12, 13}, HealDASH)
+	// A long RTO keeps the background ticker out of the picture; only
+	// the hooked scan runs.
+	ct, err := newChaosTransport(nw, &chaos.Plan{Seed: 1, RTO: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ct.closeTransport()
+	scans := 0
+	ct.afterRegister = func() {
+		scans++
+		ct.scanRetransmits(time.Now())
+	}
+	ct.deliver(1, message{kind: msgDeathNotice, from: 0})
+	if scans != 1 {
+		t.Fatalf("hook ran %d times, want 1", scans)
+	}
+	if got := ct.retrans.Load(); got != 0 {
+		t.Fatalf("scan retransmitted a frame mid-registration: %d retransmits", got)
+	}
+	if got := nw.node(1).inbox.size(); got != 1 {
+		t.Fatalf("mailbox holds %d messages, want 1", got)
+	}
+	ch := ct.channel(0, 1)
+	ch.mu.Lock()
+	pending := len(ch.unacked)
+	ch.mu.Unlock()
+	if pending != 0 {
+		t.Fatalf("%d frames still unacked under a zero-fault plan", pending)
+	}
+}

@@ -9,8 +9,8 @@ import (
 // Sharded partitions a Graph's node space into power-of-two node-range
 // shards so that commits touching disjoint node sets can mutate the
 // same graph concurrently. It is the hardware half of the pipelined-
-// epoch story: the conflict-region scheduler (internal/core, mirrored
-// from internal/dist) proves two heals touch disjoint node sets; this
+// epoch story: the scheduler in internal/core claims each heal's nodes
+// and G′ labels, which proves two heals touch disjoint node sets; this
 // type makes their mutations safe to run on different cores.
 //
 // Layout: nodes are assigned to shards block-cyclically in 64-node
@@ -21,8 +21,8 @@ import (
 // Locking model (see internal/graph/README.md for the full argument):
 //
 //   - Semantic exclusivity over a node (who may change its adjacency)
-//     comes from the caller — the scheduler's conflict-region stamps —
-//     NOT from shard locks. A heal's region typically spans most
+//     comes from the caller — the scheduler's node and label claims —
+//     NOT from shard locks. A heal's nodes typically span most
 //     shards, so holding every covering shard lock for a whole commit
 //     would serialize everything and defeat the point.
 //   - Shard locks are held only for the duration of a single primitive
@@ -85,7 +85,7 @@ func NewSharded(g *Graph, shards int) *Sharded {
 }
 
 // Graph returns the wrapped graph. Callers may read it freely for nodes
-// they own (region exclusivity) and may use it sequentially whenever no
+// they own (claim exclusivity) and may use it sequentially whenever no
 // commits are in flight and Sync has run.
 func (s *Sharded) Graph() *Graph { return s.g }
 
@@ -102,8 +102,8 @@ func (s *Sharded) cell(v int) *shardCell {
 }
 
 // Begin enters a commit bracket: it holds off structural growth
-// (AddNode) and delta fold-back (Sync) while the caller mutates its
-// region. Brackets may nest across goroutines (shared lock); every
+// (AddNode) and delta fold-back (Sync) while the caller mutates the
+// nodes it owns. Brackets may nest across goroutines (shared lock); every
 // Begin must be paired with End.
 func (s *Sharded) Begin() { s.grow.RLock() }
 
@@ -128,7 +128,7 @@ func (s *Sharded) AddNode() int {
 // AddEdge inserts the undirected edge (u,v), reporting whether it was
 // newly added (false if it already existed). Panics mirror
 // Graph.AddEdge: self-loops and dead endpoints are simulation bugs.
-// Callers must own both endpoints (conflict-region exclusivity) and be
+// Callers must own both endpoints (claim exclusivity) and be
 // inside a Begin/End bracket.
 func (s *Sharded) AddEdge(u, v int) bool {
 	if u == v {
@@ -178,7 +178,7 @@ func (s *Sharded) addEdgeLocked(u, v int, cu, cv *shardCell) bool {
 
 // RemoveNode kills v, removing all its incident edges; it panics if v
 // is already dead. Callers must own v and every neighbor of v (the
-// conflict region always contains both) and be inside a Begin/End
+// kill claim always contains both) and be inside a Begin/End
 // bracket.
 func (s *Sharded) RemoveNode(v int) {
 	g := s.g
@@ -238,7 +238,7 @@ func (s *Sharded) NumEdges() int {
 // Epochs appends the per-shard mutation epochs to dst and returns it.
 // A reader can snapshot epochs, read shard-owned data optimistically,
 // and re-snapshot: unchanged epochs prove the shards were quiescent for
-// the duration. (The heal path never needs this — region exclusivity is
+// the duration. (The heal path never needs this — claim exclusivity is
 // stronger — but samplers and tests use it to validate lock-free reads.)
 func (s *Sharded) Epochs(dst []uint64) []uint64 {
 	for i := range s.cells {

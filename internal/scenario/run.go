@@ -159,7 +159,7 @@ type Config struct {
 	Observe func(trial int, s *core.State)
 
 	// Shards, when > 0, runs trials on the sharded commit path:
-	// region-disjoint kills and joins commit concurrently on
+	// claim-disjoint kills and joins commit concurrently on
 	// CommitWorkers goroutines through core.ShardScheduler (batch
 	// kills and checkpoints run at barriers). Results are bit-identical
 	// to the sequential path. Requires a DASH/SDASH healer and Uniform

@@ -35,7 +35,7 @@ func validateSharded(cfg Config, victim VictimPolicy) error {
 // runTrialSharded executes one trial on the sharded commit path. It
 // reuses the sequential trial's construction (identical RNG splits,
 // same metrics machinery) and event semantics, but kills and joins are
-// submitted to a core.ShardScheduler, which commits region-disjoint
+// submitted to a core.ShardScheduler, which commits claim-disjoint
 // operations concurrently on CommitWorkers goroutines. Batch kills and
 // metric checkpoints run at barriers through the unchanged sequential
 // code. The resulting TrialResult is bit-identical to runTrial's: RNG

@@ -70,7 +70,7 @@ type Config struct {
 	// CommitWorkers, when > 0, upgrades the apply loop to the sharded
 	// commit path: kills and joins still admit serially (validation,
 	// victim picks, RNG draws, and backpressure are unchanged — a full
-	// queue still answers 429), but region-disjoint heals commit
+	// queue still answers 429), but claim-disjoint heals commit
 	// concurrently on this many workers through core.ShardScheduler.
 	// Operations needing a quiescent graph (batch kills, snapshots,
 	// restore, stretch measurement) drain in-flight commits first.
@@ -109,7 +109,7 @@ type Server struct {
 
 	// Sharded commit path (nil when Config.CommitWorkers == 0). The
 	// scheduler is apply-loop-owned like st; commit workers touch state
-	// only through region-owned ShardedState commits.
+	// only through claim-owned ShardedState commits.
 	ss    *core.ShardedState
 	sched *core.ShardScheduler
 
