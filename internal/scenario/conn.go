@@ -11,21 +11,30 @@ import "repro/internal/graph"
 // B = N(D) \ D, so the post-deletion graph is connected if and only if
 // all of B lies in one component of it (when B is empty, D was the whole
 // graph and the empty remainder is trivially connected). The tracker
-// therefore checks only the mutual reachability of B — a BFS from one
-// boundary witness that stops as soon as it has seen all the others. A
-// self-healer reconnects the boundary with edges among (a subset of) B
-// itself, so in the healthy case this BFS terminates after exploring a
-// neighborhood of the wound rather than the whole graph; only an actual
-// partition degrades to a full traversal, and that is the event worth
-// paying for.
+// therefore checks only the mutual reachability of B.
 //
-// For long schedules with very many deletions, even a neighborhood BFS
-// per event adds up, so the tracker supports a check cadence: witnesses
-// accumulate and one BFS verifies a whole window of events. Deferral is
-// still sound for the latched "always connected" verdict — any path in
-// the window-start graph reroutes around each dead node via that node's
-// own deletion-time boundary, and a boundary member that itself died
-// later contributes its own boundary, recursing to strictly later
+// It does so with one search per distinct boundary witness, grown in
+// turn one expanded node each. A node belongs to the search that first
+// claimed it; when a search reaches a node another search owns, the two
+// are connected and merge into one (union-find over the searches). The
+// check passes as soon as one search is left. If a search runs out of
+// nodes to expand while others remain, everything it claimed is closed
+// under adjacency — a whole component that misses some witness — so the
+// graph is split. Since turns are equal, a split costs at most the
+// smaller side's size in expansions per search, and a connected check
+// ends when the searches meet: a self-healer reconnects B with edges
+// among B itself, so they meet within the wound's neighborhood. A
+// single search from one witness is not local: in a scale-free graph,
+// reaching a witness a few hops away sweeps a ball that holds most of
+// the graph.
+//
+// For long schedules with very many deletions, even a local search per
+// event adds up, so the tracker supports a check cadence: witnesses
+// accumulate and one search verifies a whole window of events. Deferral
+// is still sound for the latched "always connected" verdict — any path
+// in the window-start graph reroutes around each dead node via that
+// node's own deletion-time boundary, and a boundary member that itself
+// died later contributes its own boundary, recursing to strictly later
 // deletions until an alive witness is reached; so if every alive
 // witness of the window sits in one component at flush time, the whole
 // graph does. What deferral gives up is granularity: a transient
@@ -34,12 +43,12 @@ import "repro/internal/graph"
 // event and has neither caveat.
 //
 // Insertions keep connectivity whenever the newcomer attaches to at
-// least one alive node; they are checked immediately (no BFS needed).
+// least one alive node; they are checked immediately (no search needed).
 //
 // Once a disconnection is observed the tracker latches: like
 // sim.Trial.AlwaysConnected, it reports whether the network has remained
 // connected at every (observed) step, so later re-merges do not reset
-// it, and no further BFS work is done.
+// it, and no further search work is done.
 type ConnTracker struct {
 	ok         bool
 	firstBreak int // event index of the first observed disconnection, -1
@@ -48,12 +57,26 @@ type ConnTracker struct {
 	pending    []int32 // accumulated boundary witnesses (may repeat, may die)
 	sinceCheck int
 
-	// Epoch-stamped scratch: seen[v]==epoch means visited this check,
-	// target[v]==epoch means v is an unmet witness this check. Stamps
-	// make per-check resets O(1) instead of O(n).
-	epoch  int32
-	seen   []int32
-	target []int32
+	// Epoch-stamped scratch: seen[v]==epoch means some search claimed v
+	// this check, and owner[v] is then the slot of the search that
+	// claimed it (resolve through searches[].parent). Stamps make
+	// per-check resets O(1) instead of O(n).
+	epoch int32
+	seen  []int32
+	owner []int32
+
+	// One search slot per distinct alive witness of the current check;
+	// slots and their queues are reused across checks.
+	searches []connSearch
+	turns    []int32 // slots still searching, in round-robin order
+
+	visited int // nodes claimed over all checks; read by tests and benchmarks
+}
+
+// connSearch is one witness's search within a check.
+type connSearch struct {
+	parent int32 // union-find link; parent == own slot while the search is live
+	head   int   // queue[head:] is claimed but not yet expanded
 	queue  []int32
 }
 
@@ -78,7 +101,7 @@ func (t *ConnTracker) FirstBreak() int { return t.firstBreak }
 func (t *ConnTracker) grow(n int) {
 	for len(t.seen) < n {
 		t.seen = append(t.seen, 0)
-		t.target = append(t.target, 0)
+		t.owner = append(t.owner, 0)
 	}
 }
 
@@ -119,7 +142,7 @@ func (t *ConnTracker) observe(g *graph.Graph, witnesses []int, event int) {
 	}
 }
 
-// Flush verifies all pending witnesses now (one early-exit BFS) and
+// Flush verifies all pending witnesses now (one multi-source search) and
 // clears the backlog. The runner calls it at trial end; callers using a
 // cadence > 1 get it automatically every cadence-th observation.
 func (t *ConnTracker) Flush(g *graph.Graph, event int) {
@@ -130,44 +153,91 @@ func (t *ConnTracker) Flush(g *graph.Graph, event int) {
 	}
 	t.grow(g.N())
 	t.epoch++
-	remaining := 0
-	start := -1
-	for _, w32 := range t.pending {
-		w := int(w32)
+	t.turns = t.turns[:0]
+	for _, w := range t.pending {
 		// Witnesses that died later in the window contributed their own
 		// deletion-time boundary to pending; skipping them is what the
 		// rerouting argument above licenses.
-		if !g.Alive(w) || t.target[w] == t.epoch {
+		if !g.Alive(int(w)) || t.seen[w] == t.epoch {
 			continue
 		}
-		t.target[w] = t.epoch
-		remaining++
-		if start < 0 {
-			start = w
+		s := int32(len(t.turns))
+		if int(s) == len(t.searches) {
+			t.searches = append(t.searches, connSearch{})
 		}
+		t.searches[s] = connSearch{parent: s, queue: append(t.searches[s].queue[:0], w)}
+		t.seen[w] = t.epoch
+		t.owner[w] = s
+		t.turns = append(t.turns, s)
 	}
 	t.pending = t.pending[:0]
 	t.sinceCheck = 0
-	if remaining <= 1 {
-		return // nothing to connect, or an entire component died
-	}
-	t.seen[start] = t.epoch
-	remaining--
-	t.queue = append(t.queue[:0], int32(start))
-	for head := 0; head < len(t.queue) && remaining > 0; head++ {
-		for _, u := range g.Neighbors(int(t.queue[head])) {
-			if t.seen[u] == t.epoch {
-				continue
-			}
-			t.seen[u] = t.epoch
-			if t.target[u] == t.epoch {
-				remaining--
-			}
-			t.queue = append(t.queue, u)
-		}
-	}
-	if remaining > 0 {
+	t.visited += len(t.turns)
+	if len(t.turns) > 1 && t.split(g) {
 		t.ok = false
 		t.firstBreak = event
 	}
+}
+
+// split runs this check's searches in round-robin turns, one expanded
+// node each, until one is left (false) or one runs out of nodes to
+// expand while others remain (true).
+func (t *ConnTracker) split(g *graph.Graph) bool {
+	left := len(t.turns)
+	for {
+		next := 0
+		for _, slot := range t.turns {
+			if t.searches[slot].parent != slot {
+				continue // absorbed since its last turn
+			}
+			cur := &t.searches[slot]
+			if cur.head == len(cur.queue) {
+				return true
+			}
+			x := cur.queue[cur.head]
+			cur.head++
+			s := slot
+			for _, u := range g.Neighbors(int(x)) {
+				if t.seen[u] != t.epoch {
+					t.seen[u] = t.epoch
+					t.owner[u] = s
+					t.searches[s].queue = append(t.searches[s].queue, u)
+					t.visited++
+				} else if r := t.find(t.owner[u]); r != s {
+					// x's remaining neighbors feed the survivor.
+					s = t.merge(s, r)
+					if left--; left == 1 {
+						return false
+					}
+				}
+			}
+			if t.searches[slot].parent == slot {
+				t.turns[next] = slot
+				next++
+			}
+		}
+		t.turns = t.turns[:next]
+	}
+}
+
+// find returns the live search that slot s has been merged into.
+func (t *ConnTracker) find(s int32) int32 {
+	for p := t.searches[s].parent; p != s; p = t.searches[s].parent {
+		t.searches[s].parent = t.searches[p].parent // path splitting
+		s = p
+	}
+	return s
+}
+
+// merge joins live searches a and b: the one with fewer nodes left to
+// expand hands them to the other, which survives and is returned.
+func (t *ConnTracker) merge(a, b int32) int32 {
+	sa, sb := &t.searches[a], &t.searches[b]
+	if len(sa.queue)-sa.head > len(sb.queue)-sb.head {
+		a, b, sa, sb = b, a, sb, sa
+	}
+	sb.queue = append(sb.queue, sa.queue[sa.head:]...)
+	sa.head = len(sa.queue)
+	sa.parent = b
+	return b
 }

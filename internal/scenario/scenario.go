@@ -15,9 +15,10 @@
 //   - per-event work must be output-sensitive: victims are drawn from an
 //     incrementally maintained alive-set (O(1) per uniform pick), peak δ
 //     is maintained from the endpoints of edges the healer actually adds
-//     (δ can only rise there), and connectivity is verified by an
-//     early-exit reachability check over the deletion's surviving
-//     boundary (ConnTracker) instead of a full sweep per event;
+//     (δ can only rise there), and connectivity is verified by growing
+//     one search from each of the deletion's surviving boundary nodes
+//     until they meet, or until one exhausts its component (ConnTracker),
+//     instead of a full sweep per event;
 //   - global metrics are sampled: above Config.SampleThreshold alive
 //     nodes the checkpoints use k-source estimates with confidence
 //     intervals (metrics.AutoStretch, metrics.SampledDiameter) instead

@@ -203,10 +203,23 @@ func TestE2ESnapshotRestoreResume(t *testing.T) {
 	}
 
 	// A pre-restore subscriber must end cleanly when the generation dies.
+	// It must be subscribed before the restore: a request that reaches
+	// the daemon afterwards follows the new generation instead. Its
+	// first phase-1 event proves the subscription.
 	oldStream := make(chan error, 1)
+	subscribed := make(chan struct{})
+	var once sync.Once
 	go func() {
-		oldStream <- c.StreamEvents(ctx, 0, func(trace.Event) error { return nil })
+		oldStream <- c.StreamEvents(ctx, 0, func(trace.Event) error {
+			once.Do(func() { close(subscribed) })
+			return nil
+		})
 	}()
+	select {
+	case <-subscribed:
+	case err := <-oldStream:
+		t.Fatalf("pre-restore stream ended before its first event: %v", err)
+	}
 
 	// Phase 2: diverge, then restore the saved state over it.
 	for i := 0; i < 20; i++ {
