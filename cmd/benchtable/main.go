@@ -47,7 +47,6 @@ type record struct {
 	Trials          int     `json:"trials"`
 	Healer          string  `json:"healer"`
 	Victim          string  `json:"victim"`
-	Shards          int     `json:"shards"`
 	WallMS          float64 `json:"wall_ms"`
 	Heals           int     `json:"heals"`
 	HealsPerSec     float64 `json:"heals_per_sec"`

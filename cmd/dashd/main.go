@@ -64,8 +64,7 @@ func realMain() error {
 		finalSnap = flag.String("final-snapshot", "", "write the final state to this file after draining ('-' = stdout)")
 		maxNodes  = flag.Int("max-restore-nodes", server.DefaultMaxRestoreNodes, "largest node count a restore snapshot may declare")
 		drainWait = flag.Duration("drain-timeout", 30*time.Second, "how long a signal-triggered drain may take")
-		commitW   = flag.Int("commit-workers", 0, "concurrent heal-commit workers: claim-disjoint kills/joins commit in parallel (0 = single-writer apply loop; DASH/SDASH only)")
-		shards    = flag.Int("shards", 0, "graph shard count with -commit-workers (rounded up to a power of two; 0 = one per CPU)")
+		commitW   = flag.Int("commit-workers", 0, "concurrent heal-commit workers: claim-disjoint kills/joins run the sequential heal in parallel under their node-and-label claims (0 = single-writer apply loop; DASH/SDASH only)")
 	)
 	flag.Parse()
 
@@ -87,7 +86,6 @@ func realMain() error {
 		SampleThreshold: *threshold,
 		SampleSources:   *sources,
 		CommitWorkers:   *commitW,
-		Shards:          *shards,
 	}
 
 	var s *server.Server

@@ -80,16 +80,15 @@ func realMain() error {
 		tracePath = flag.String("trace", "", "write trial 0's mutation trace as JSONL to this file")
 		diff      = flag.Bool("differential", false, "replay trial 0 through the sequential AND distributed engines in lockstep, verifying exact equality per event (DASH/SDASH only; keep n moderate)")
 		pipelined = flag.Bool("pipelined", false, "with -differential: issue mutations asynchronously in windows so heal epochs overlap, checking equality at window flushes")
-		shards    = flag.Int("shards", 0, "run trials on the sharded commit path with this many graph shards (rounded up to a power of two; DASH/SDASH + Uniform victims only, implies -connectivity=false)")
-		commitW   = flag.Int("commit-workers", 0, "with -shards: concurrent commit workers within each trial (0 = all CPUs)")
+		commitW   = flag.Int("commit-workers", 0, "run trials on the sharded commit path with this many concurrent commit workers within each trial (0 = sequential engine; DASH/SDASH + Uniform victims only, implies -connectivity=false)")
 		benchOut  = flag.String("bench-out", "", "write a machine-readable benchmark record (wall clock, heals/sec, latency percentiles) as JSON to this file")
 	)
 	flag.Parse()
 	if *pipelined && !*diff {
 		return cli.Usagef("-pipelined requires -differential")
 	}
-	if *shards > 0 && *diff {
-		return cli.Usagef("-shards is incompatible with -differential (the replay harness assumes the sequential engine)")
+	if *commitW > 0 && *diff {
+		return cli.Usagef("-commit-workers is incompatible with -differential (the replay harness assumes the sequential engine)")
 	}
 	if *diff {
 		mode := scenario.Lockstep
@@ -100,7 +99,7 @@ func realMain() error {
 	}
 	connSet := false
 	flag.Visit(func(f *flag.Flag) { connSet = connSet || f.Name == "connectivity" })
-	if *shards > 0 && !connSet {
+	if *commitW > 0 && !connSet {
 		// Connectivity tracking defaults on, but it observes every event
 		// and the concurrent commit path can't host it; an explicit
 		// -connectivity=true still reaches scenario.Run's validation.
@@ -111,7 +110,7 @@ func realMain() error {
 		trials: *trials, seed: *seed, workers: *workers, measure: *measure,
 		threshold: *threshold, sources: *sources, conn: *conn, connEvery: *connEvery,
 		out: *out, tracePath: *tracePath,
-		shards: *shards, commitWorkers: *commitW, benchOut: *benchOut,
+		commitWorkers: *commitW, benchOut: *benchOut,
 	})
 	return err
 }
@@ -195,8 +194,8 @@ type runOpts struct {
 	connEvery            int
 	out, tracePath       string
 
-	shards, commitWorkers int
-	benchOut              string
+	commitWorkers int
+	benchOut      string
 }
 
 func run(w io.Writer, o runOpts) (scenario.Result, error) {
@@ -208,8 +207,8 @@ func run(w io.Writer, o runOpts) (scenario.Result, error) {
 	if err != nil {
 		return scenario.Result{}, cli.WrapUsage(err)
 	}
-	if o.shards > 0 && o.tracePath != "" {
-		return scenario.Result{}, cli.Usagef("-shards is incompatible with -trace (tracing assumes a single mutator)")
+	if o.commitWorkers > 0 && o.tracePath != "" {
+		return scenario.Result{}, cli.Usagef("-commit-workers is incompatible with -trace (tracing assumes a single mutator)")
 	}
 	cfg := scenario.Config{
 		NewGraph:          func(r *rng.RNG) *graph.Graph { return gen.BarabasiAlbert(o.n, 3, r) },
@@ -223,7 +222,6 @@ func run(w io.Writer, o runOpts) (scenario.Result, error) {
 		SampleSources:     o.sources,
 		TrackConnectivity: o.conn,
 		ConnectivityEvery: o.connEvery,
-		Shards:            o.shards,
 		CommitWorkers:     o.commitWorkers,
 	}
 	newVictim, err := victimPolicy(o.victim)
@@ -333,7 +331,6 @@ type benchRecord struct {
 	Healer        string  `json:"healer"`
 	Victim        string  `json:"victim"`
 	Seed          uint64  `json:"seed"`
-	Shards        int     `json:"shards"`
 	CommitWorkers int     `json:"commit_workers"`
 	Workers       int     `json:"workers"`
 	Cores         int     `json:"cores"`
@@ -372,7 +369,7 @@ func makeBenchRecord(o runOpts, res scenario.Result, wall time.Duration, lat *la
 	b := benchRecord{
 		Preset: res.Schedule, N: o.n, Events: res.Events, Trials: len(res.Trials),
 		Healer: res.HealerName, Victim: res.VictimName, Seed: o.seed,
-		Shards: o.shards, CommitWorkers: o.commitWorkers, Workers: o.workers,
+		CommitWorkers: o.commitWorkers, Workers: o.workers,
 		Cores: runtime.NumCPU(), Gomaxprocs: runtime.GOMAXPROCS(0),
 		WallMS:    float64(wall.Nanoseconds()) / 1e6,
 		Heals:     heals,

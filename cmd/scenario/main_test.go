@@ -152,25 +152,25 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	if _, err := run(&buf, runOpts{preset: "disaster", n: 64, heal: "DASH", victim: "NoSuchAttack", trials: 1, seed: 1, workers: 1, connEvery: 1}); err == nil {
 		t.Error("unknown victim policy should fail")
 	}
-	sharded := runOpts{preset: "sustained-churn", n: 64, heal: "DASH", trials: 1, seed: 1, workers: 1, shards: 2}
+	sharded := runOpts{preset: "sustained-churn", n: 64, heal: "DASH", trials: 1, seed: 1, workers: 1, commitWorkers: 2}
 	bad := sharded
 	bad.victim = "MaxNode"
 	if _, err := run(&buf, bad); err == nil {
-		t.Error("-shards with a non-Uniform victim should fail")
+		t.Error("-commit-workers with a non-Uniform victim should fail")
 	}
 	bad = sharded
 	bad.conn = true
 	if _, err := run(&buf, bad); err == nil {
-		t.Error("-shards with connectivity tracking should fail")
+		t.Error("-commit-workers with connectivity tracking should fail")
 	}
 	bad = sharded
 	bad.tracePath = "unused.jsonl"
 	if _, err := run(&buf, bad); err == nil {
-		t.Error("-shards with -trace should fail")
+		t.Error("-commit-workers with -trace should fail")
 	}
 }
 
-// TestRunShardedBench drives the -shards path end to end: the sharded
+// TestRunShardedBench drives the -commit-workers path end to end: the sharded
 // run must produce the same aggregate result as the sequential run for
 // the same seed, and -bench-out must emit a well-formed record.
 func TestRunShardedBench(t *testing.T) {
@@ -186,7 +186,6 @@ func TestRunShardedBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	sharded := base
-	sharded.shards = 4
 	sharded.commitWorkers = 2
 	sharded.benchOut = benchPath
 	shr, err := run(&buf, sharded)
@@ -209,7 +208,7 @@ func TestRunShardedBench(t *testing.T) {
 	for _, tr := range shr.Trials {
 		wantHeals += tr.Deletes + tr.Inserts + tr.Killed
 	}
-	if rec.Preset != "sustained-churn" || rec.N != 256 || rec.Shards != 4 ||
+	if rec.Preset != "sustained-churn" || rec.N != 256 ||
 		rec.CommitWorkers != 2 || rec.Heals != wantHeals {
 		t.Fatalf("bench record fields wrong: %+v (want heals %d)", rec, wantHeals)
 	}

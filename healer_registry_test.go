@@ -169,7 +169,7 @@ func TestRegistryBatchKill(t *testing.T) {
 // TestRegistryShardedSupport pins the concurrent-commit compatibility
 // matrix: exactly DASH and SDASH support sharded commit, and the
 // scenario engine rejects — loudly, not via silent serial fallback —
-// any other healer when Shards is requested.
+// any other healer when CommitWorkers is requested.
 func TestRegistryShardedSupport(t *testing.T) {
 	for _, h := range AllHealers() {
 		want := h.Name() == "DASH" || h.Name() == "SDASH"
@@ -184,15 +184,15 @@ func TestRegistryShardedSupport(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = scenario.Run(scenario.Config{
-			NewGraph: BAGen(64, 3),
-			Schedule: sc,
-			Healer:   h,
-			Trials:   1,
-			Seed:     1,
-			Shards:   2,
+			NewGraph:      BAGen(64, 3),
+			Schedule:      sc,
+			Healer:        h,
+			Trials:        1,
+			Seed:          1,
+			CommitWorkers: 2,
 		})
 		if err == nil {
-			t.Errorf("scenario.Run accepted Shards > 0 with %s; want explicit error", h.Name())
+			t.Errorf("scenario.Run accepted CommitWorkers > 0 with %s; want explicit error", h.Name())
 		}
 	}
 }

@@ -23,6 +23,23 @@ import (
 // unless the caller wants an isolated newcomer), drawing its random
 // initial ID from r. It returns the new node's index.
 func (s *State) Join(attachTo []int, r *rng.RNG) int {
+	v := s.grow(attachTo, r, 0)
+	for _, u := range attachTo {
+		s.G.AddEdge(v, u)
+	}
+	s.initDeg[v] = s.G.Degree(v)
+	if s.hooks != nil && s.hooks.OnJoin != nil {
+		s.hooks.OnJoin(v, attachTo)
+	}
+	return v
+}
+
+// grow is a join's bookkeeping, shared by Join and the sharded path's
+// admission: it checks that attachTo is alive, allocates node v in G
+// and G′, draws v's unique initial ID from r, and appends v's per-node
+// entries with initial degree initDeg. It moves every per-node array,
+// so the sharded path runs it under its grow lock.
+func (s *State) grow(attachTo []int, r *rng.RNG, initDeg int) int {
 	for _, u := range attachTo {
 		if !s.G.Alive(u) {
 			panic(fmt.Sprintf("core: joining to dead node %d", u))
@@ -42,18 +59,12 @@ func (s *State) Join(attachTo []int, r *rng.RNG) int {
 	s.usedIDs[id] = struct{}{}
 	s.initID = append(s.initID, id)
 	s.curID = append(s.curID, id)
+	s.initDeg = append(s.initDeg, initDeg)
 	s.weight = append(s.weight, 1)
 	s.idChanges = append(s.idChanges, 0)
 	s.msgSent = append(s.msgSent, 0)
 	s.msgRecv = append(s.msgRecv, 0)
 	s.joined++
-	for _, u := range attachTo {
-		s.G.AddEdge(v, u)
-	}
-	s.initDeg = append(s.initDeg, s.G.Degree(v))
-	if s.hooks != nil && s.hooks.OnJoin != nil {
-		s.hooks.OnJoin(v, attachTo)
-	}
 	return v
 }
 

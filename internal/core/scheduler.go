@@ -33,8 +33,9 @@ func (t *ShardTicket) Done() <-chan struct{} { return t.done }
 
 // ShardScheduler admits kills and joins from one serial goroutine and
 // hands operations with disjoint claims to a worker pool that commits
-// them concurrently through a ShardedState (the full argument is in
-// internal/graph/README.md).
+// them concurrently through a ShardedState, whose kills run the
+// sequential State.DeleteAndHeal on a per-commit view (the full
+// argument is in internal/graph/README.md).
 //
 // A claim is an operation's write set: nodes plus G′ component labels
 // (current IDs), collected in O(degree) without walking G′. A kill of
@@ -46,8 +47,8 @@ func (t *ShardTicket) Done() <-chan struct{} { return t.done }
 // and retries, so conflicting operations serialize in issue order and
 // disjoint ones commute. Nothing falls back to a serialized commit.
 //
-// Labels are read with atomic loads while floods store them
-// atomically. A node mid-flood shows its old label or the new minimum,
+// Labels are read with atomic loads while floods in commit views
+// store them atomically. A node mid-flood shows its old label or the new minimum,
 // and the flooding ticket owns both, so either read is a conflict.
 //
 // The claim tables are admission-goroutine-only. Before each claim,

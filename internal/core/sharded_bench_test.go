@@ -61,10 +61,9 @@ func BenchmarkShardedCommitSerial(b *testing.B) {
 	}
 }
 
-func benchShardedCommit(b *testing.B, workers, shards int) {
+func benchShardedCommit(b *testing.B, workers int) {
 	r := rng.New(7)
 	var (
-		ss    *ShardedState
 		sched *ShardScheduler
 		alive *benchAlive
 	)
@@ -73,8 +72,7 @@ func benchShardedCommit(b *testing.B, workers, shards int) {
 			sched.Close()
 		}
 		st := NewState(gen.BarabasiAlbert(benchShardedN, 3, r.Split()), r.Split())
-		ss = NewShardedState(st, shards)
-		sched = NewShardScheduler(ss, DASH{}, workers)
+		sched = NewShardScheduler(NewShardedState(st, 0), DASH{}, workers)
 		alive = newBenchAlive(benchShardedN, rng.New(99))
 	}
 	reset()
@@ -92,7 +90,7 @@ func benchShardedCommit(b *testing.B, workers, shards int) {
 	sched.Close()
 }
 
-func BenchmarkShardedCommitW1(b *testing.B) { benchShardedCommit(b, 1, 8) }
-func BenchmarkShardedCommitW2(b *testing.B) { benchShardedCommit(b, 2, 8) }
-func BenchmarkShardedCommitW4(b *testing.B) { benchShardedCommit(b, 4, 8) }
-func BenchmarkShardedCommitW8(b *testing.B) { benchShardedCommit(b, 8, 8) }
+func BenchmarkShardedCommitW1(b *testing.B) { benchShardedCommit(b, 1) }
+func BenchmarkShardedCommitW2(b *testing.B) { benchShardedCommit(b, 2) }
+func BenchmarkShardedCommitW4(b *testing.B) { benchShardedCommit(b, 4) }
+func BenchmarkShardedCommitW8(b *testing.B) { benchShardedCommit(b, 8) }

@@ -156,33 +156,30 @@ func TestShardedDifferentialConcurrent(t *testing.T) {
 	ops := genShardOps(n, 300, 3, 0xabcde)
 	for _, h := range []Healer{DASH{}, SDASH{}} {
 		for _, workers := range []int{1, 4} {
-			for _, shards := range []int{1, 8} {
-				ctx := fmt.Sprintf("%s/workers=%d/shards=%d", h.Name(), workers, shards)
-				seq, conc := buildPair(n, m, 42)
-				applySequential(seq, h, ops, 0x1d5eed)
+			ctx := fmt.Sprintf("%s/workers=%d", h.Name(), workers)
+			seq, conc := buildPair(n, m, 42)
+			applySequential(seq, h, ops, 0x1d5eed)
 
-				ss := NewShardedState(conc, shards)
-				sched := NewShardScheduler(ss, h, workers)
-				idR := rng.New(0x1d5eed)
-				for i, op := range ops {
-					if op.kill {
-						sched.Kill(op.v, nil, nil)
-					} else {
-						if got, _ := sched.Join(op.attach, idR, nil, nil); got != op.v {
-							t.Fatalf("%s: join index diverged: %d vs %d", ctx, got, op.v)
-						}
-					}
-					if i%97 == 0 {
-						// Mid-stream barrier: counters must already be exact.
-						sched.Barrier()
-						if conc.G.NumAlive() != ss.sg.NumAlive() {
-							t.Fatalf("%s: barrier alive count mismatch", ctx)
-						}
+			sched := NewShardScheduler(NewShardedState(conc, 0), h, workers)
+			idR := rng.New(0x1d5eed)
+			for i, op := range ops {
+				if op.kill {
+					sched.Kill(op.v, nil, nil)
+				} else {
+					if got, _ := sched.Join(op.attach, idR, nil, nil); got != op.v {
+						t.Fatalf("%s: join index diverged: %d vs %d", ctx, got, op.v)
 					}
 				}
-				sched.Close()
-				requireStateEqual(t, seq, conc, ctx)
+				if i%97 == 0 {
+					// Mid-stream barrier: counters must already be exact.
+					sched.Barrier()
+					if conc.G.NumAlive() != len(conc.G.AliveNodes()) || conc.G.NumEdges() != len(conc.G.Edges()) {
+						t.Fatalf("%s: barrier counters inexact", ctx)
+					}
+				}
 			}
+			sched.Close()
+			requireStateEqual(t, seq, conc, ctx)
 		}
 	}
 }
@@ -196,7 +193,7 @@ func TestShardedDifferentialKillsOnly(t *testing.T) {
 	seq, conc := buildPair(n, m, 7)
 	applySequential(seq, DASH{}, ops, 1)
 
-	ss := NewShardedState(conc, 4)
+	ss := NewShardedState(conc, 0)
 	sched := NewShardScheduler(ss, DASH{}, 4)
 	for _, op := range ops {
 		sched.Kill(op.v, nil, nil)
@@ -207,8 +204,8 @@ func TestShardedDifferentialKillsOnly(t *testing.T) {
 
 // TestShardedDifferentialScale runs the differential at the size where
 // G′ components grow past any small bound: BA(m=3), n=5·10⁴, 3·10⁴
-// mixed ops (2:1 kill:join), DASH and SDASH, 2 and 4 workers, 16
-// shards. A region-walking scheduler sent most of these kills through
+// mixed ops (2:1 kill:join), DASH and SDASH, 2 and 4 workers. A
+// region-walking scheduler sent most of these kills through
 // a serialized fallback; label-keyed claims commit them all
 // concurrently, and the State must still match the sequential engine
 // bit for bit.
@@ -217,7 +214,7 @@ func TestShardedDifferentialScale(t *testing.T) {
 		t.Skip("scale differential; run without -short")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const n, m, shards = 50000, 3, 16
+	const n, m = 50000, 3
 	ops := genShardOps(n, 30000, 3, 0x5ca1e)
 	for _, h := range []Healer{DASH{}, SDASH{}} {
 		seq, _ := buildPair(n, m, 11)
@@ -225,7 +222,7 @@ func TestShardedDifferentialScale(t *testing.T) {
 		for _, workers := range []int{2, 4} {
 			ctx := fmt.Sprintf("scale/%s/workers=%d", h.Name(), workers)
 			_, conc := buildPair(n, m, 11)
-			sched := NewShardScheduler(NewShardedState(conc, shards), h, workers)
+			sched := NewShardScheduler(NewShardedState(conc, 0), h, workers)
 			idR := rng.New(0x1d)
 			for _, op := range ops {
 				if op.kill {
@@ -255,7 +252,7 @@ func TestShardedConflictChain(t *testing.T) {
 		seq.DeleteAndHeal(v, DASH{})
 	}
 	conc := build()
-	ss := NewShardedState(conc, 4)
+	ss := NewShardedState(conc, 0)
 	sched := NewShardScheduler(ss, DASH{}, 4)
 	for _, v := range victims {
 		sched.Kill(v, nil, nil)
@@ -268,7 +265,7 @@ func TestShardedConflictChain(t *testing.T) {
 // check in the style of internal/dist/modelcheck: for small graphs and
 // sets of claim-disjoint operations, EVERY commit completion order is
 // enumerated (the scheduler's only nondeterminism — admission is
-// serial) by applying the commit bodies through the sharded primitives
+// serial) by applying the commit bodies (CommitKill, CommitJoin)
 // in each permutation, and every ordering must produce a State
 // bit-identical to the sequential engine applying issue order. This is
 // the executable form of the commutativity argument: disjoint claims
@@ -305,7 +302,7 @@ func TestShardedCommitOrderExhaustive(t *testing.T) {
 			}
 			for _, perm := range perms {
 				conc := NewState(gen.Ring(n), rng.New(3))
-				ss := NewShardedState(conc, 4)
+				ss := NewShardedState(conc, 0)
 				// Admission effects in issue order (like the serial
 				// admission goroutine): allocate the join node first so
 				// RNG draws and indices match, then commit bodies in the
@@ -345,7 +342,7 @@ func ringWithHealedPair(seed uint64) *State {
 // {curID(1), curID(2) = curID(4)} — no walk into G′ components.
 func TestShardedKillClaimIsNodesAndLabels(t *testing.T) {
 	st := ringWithHealedPair(1)
-	sched := NewShardScheduler(NewShardedState(st, 2), DASH{}, 1)
+	sched := NewShardScheduler(NewShardedState(st, 0), DASH{}, 1)
 	defer sched.Close()
 	tk := &ShardTicket{Kill: true, Node: 2}
 	if o := sched.collect(tk); o != nil {
@@ -376,7 +373,7 @@ func TestShardedKillClaimIsNodesAndLabels(t *testing.T) {
 // waited on (nil if it never waited).
 func claimWaitCase(t *testing.T, st *State, first int, second func(*ShardScheduler)) (int64, *ShardTicket) {
 	t.Helper()
-	sched := NewShardScheduler(NewShardedState(st, 4), DASH{}, 2)
+	sched := NewShardScheduler(NewShardedState(st, 0), DASH{}, 2)
 	release := make(chan struct{})
 	var waitedOn *ShardTicket
 	sched.onWait = func(o *ShardTicket) {

@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -59,6 +60,11 @@ type State struct {
 	// reconnection-set member to a node that adopted the label.
 	floodDepthSum int64
 	maxFloodDepth int
+
+	// view marks a per-commit copy made by ShardedState: it shares
+	// every array with the State it copies, and other commits run
+	// beside it, so adopt stores labels and ring counts atomically.
+	view bool
 }
 
 // NewState wraps g (taking ownership) and assigns each node a distinct
@@ -449,14 +455,24 @@ func (s *State) AmortizedFloodDepth() float64 {
 }
 
 // adopt lowers v's label and accounts for the notification traffic.
+// In a sharded commit's view, admission loads labels concurrently and
+// the neighbors whose msgRecv rises may belong to other commits, so
+// those two writes are atomic there; the rest is owned by the commit.
 func (s *State) adopt(v int, id uint64) {
-	s.curID[v] = id
-	s.idChanges[v]++
 	nbrs := s.G.Neighbors(v)
-	s.msgSent[v] += int64(len(nbrs))
-	for _, u := range nbrs {
-		s.msgRecv[u]++
+	if s.view {
+		atomic.StoreUint64(&s.curID[v], id)
+		for _, u := range nbrs {
+			atomic.AddInt64(&s.msgRecv[u], 1)
+		}
+	} else {
+		s.curID[v] = id
+		for _, u := range nbrs {
+			s.msgRecv[u]++
+		}
 	}
+	s.idChanges[v]++
+	s.msgSent[v] += int64(len(nbrs))
 	if s.hooks != nil && s.hooks.OnAdopt != nil {
 		s.hooks.OnAdopt(v, id)
 	}

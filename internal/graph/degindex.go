@@ -28,11 +28,8 @@ package graph
 // Ownership contract: the index is single-owner. NoteRise, NoteJoin,
 // and Max all mutate the unsynchronized buckets and read live degrees
 // from the graph, so exactly one goroutine may call them, and only
-// while no other goroutine is mutating the graph. The sharded commit
-// path, where several committers report rises concurrently, must use
-// SyncMaxDegreeIndex instead; a race-detecting test
-// (TestSyncMaxDegreeIndexConcurrent) enforces that the wrapper — not
-// this type — is what concurrent callers reach for.
+// while no other goroutine is mutating the graph. That is why degree-
+// aware victim policies are not offered on the sharded commit path.
 type MaxDegreeIndex struct {
 	g       *Graph
 	buckets [][]int32 // buckets[d]: min-heap of node indices filed at degree d

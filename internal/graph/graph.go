@@ -14,11 +14,18 @@
 // cheap at the degree bounds the paper's healers guarantee. All accessors
 // that return node collections return them in sorted order so that no
 // nondeterminism ever leaks into simulation behavior.
+//
+// Concurrency: goroutines may mutate one Graph at once as long as each
+// owns the rows it touches (AddEdge(u,v) and RemoveEdge(u,v) own u and
+// v; RemoveNode(v) owns v and its neighbors) and nobody calls AddNode
+// meanwhile. The alive and edge counters are atomic, so they stay exact
+// under such mutation; see README.md for how internal/core claims rows.
 package graph
 
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 
 	"repro/internal/par"
 )
@@ -27,8 +34,8 @@ import (
 type Graph struct {
 	adj   [][]int32 // sorted neighbor lists; views escape via Neighbors
 	alive []bool
-	nAliv int
-	nEdge int
+	nAliv atomic.Int64
+	nEdge atomic.Int64
 }
 
 // New returns a graph with n alive, isolated nodes.
@@ -39,8 +46,8 @@ func New(n int) *Graph {
 	g := &Graph{
 		adj:   make([][]int32, n),
 		alive: make([]bool, n),
-		nAliv: n,
 	}
+	g.nAliv.Store(int64(n))
 	for i := range g.alive {
 		g.alive[i] = true
 	}
@@ -52,18 +59,20 @@ func (g *Graph) N() int { return len(g.adj) }
 
 // AddNode appends a fresh, alive, isolated node and returns its index.
 // Supports churn workloads where the network grows during an attack.
+// It may move the adjacency and alive slices, so it must not run while
+// any other goroutine uses the graph.
 func (g *Graph) AddNode() int {
 	g.adj = append(g.adj, nil)
 	g.alive = append(g.alive, true)
-	g.nAliv++
+	g.nAliv.Add(1)
 	return len(g.adj) - 1
 }
 
 // NumAlive returns the number of alive nodes.
-func (g *Graph) NumAlive() int { return g.nAliv }
+func (g *Graph) NumAlive() int { return int(g.nAliv.Load()) }
 
 // NumEdges returns the number of edges between alive nodes.
-func (g *Graph) NumEdges() int { return g.nEdge }
+func (g *Graph) NumEdges() int { return int(g.nEdge.Load()) }
 
 // Alive reports whether v is a live node.
 func (g *Graph) Alive(v int) bool {
@@ -128,7 +137,7 @@ func (g *Graph) AddEdge(u, v int) bool {
 	g.insertArc(u, v, iu)
 	iv, _ := search(g.adj[v], int32(u))
 	g.insertArc(v, u, iv)
-	g.nEdge++
+	g.nEdge.Add(1)
 	return true
 }
 
@@ -142,7 +151,7 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 		return false
 	}
 	g.removeArc(v, u)
-	g.nEdge--
+	g.nEdge.Add(-1)
 	return true
 }
 
@@ -161,11 +170,11 @@ func (g *Graph) RemoveNode(v int) {
 	g.checkAlive(v)
 	for _, u := range g.adj[v] {
 		g.removeArc(int(u), v)
-		g.nEdge--
 	}
+	g.nEdge.Add(-int64(len(g.adj[v])))
 	g.adj[v] = nil
 	g.alive[v] = false
-	g.nAliv--
+	g.nAliv.Add(-1)
 }
 
 // Degree returns the degree of v (0 for dead or out-of-range nodes).
@@ -202,7 +211,7 @@ func (g *Graph) AppendNeighbors(dst []int, v int) []int {
 
 // AliveNodes returns the sorted list of alive nodes.
 func (g *Graph) AliveNodes() []int {
-	return g.AppendAliveNodes(make([]int, 0, g.nAliv))
+	return g.AppendAliveNodes(make([]int, 0, g.NumAlive()))
 }
 
 // AppendAliveNodes appends the indices of all alive nodes to dst in
@@ -220,7 +229,7 @@ func (g *Graph) AppendAliveNodes(dst []int) []int {
 // Edges returns all edges (u < v) in lexicographic order — free of
 // sorting, since every adjacency list is itself sorted.
 func (g *Graph) Edges() [][2]int {
-	out := make([][2]int, 0, g.nEdge)
+	out := make([][2]int, 0, g.NumEdges())
 	for u := range g.adj {
 		for _, v := range g.adj[u] {
 			if int(v) > u {
@@ -236,9 +245,9 @@ func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		adj:   make([][]int32, len(g.adj)),
 		alive: append([]bool(nil), g.alive...),
-		nAliv: g.nAliv,
-		nEdge: g.nEdge,
 	}
+	c.nAliv.Store(g.nAliv.Load())
+	c.nEdge.Store(g.nEdge.Load())
 	for v, nbrs := range g.adj {
 		if len(nbrs) > 0 {
 			c.adj[v] = append([]int32(nil), nbrs...)
@@ -249,7 +258,7 @@ func (g *Graph) Clone() *Graph {
 
 // Equal reports whether g and h have identical alive sets and edge sets.
 func (g *Graph) Equal(h *Graph) bool {
-	if g.N() != h.N() || g.nAliv != h.nAliv || g.nEdge != h.nEdge {
+	if g.N() != h.N() || g.NumAlive() != h.NumAlive() || g.NumEdges() != h.NumEdges() {
 		return false
 	}
 	for v := range g.adj {
@@ -381,7 +390,7 @@ func (g *Graph) Connected() bool {
 // IsForest reports whether the alive part of g is acyclic.
 // A graph is a forest iff edges = aliveNodes - components.
 func (g *Graph) IsForest() bool {
-	return g.nEdge == g.nAliv-g.NumComponents()
+	return g.NumEdges() == g.NumAlive()-g.NumComponents()
 }
 
 // IsSubgraphOf reports whether every alive node and edge of g also exists

@@ -158,18 +158,15 @@ type Config struct {
 	// state is constructed — e.g. to trace.Attach a recorder.
 	Observe func(trial int, s *core.State)
 
-	// Shards, when > 0, runs trials on the sharded commit path:
-	// claim-disjoint kills and joins commit concurrently on
-	// CommitWorkers goroutines through core.ShardScheduler (batch
-	// kills and checkpoints run at barriers). Results are bit-identical
-	// to the sequential path. Requires a DASH/SDASH healer and Uniform
-	// victims, and is incompatible with TrackConnectivity and Observe
-	// (per-event observation assumes a single mutator); Run returns an
-	// error otherwise. The shard count is rounded up to a power of two.
-	Shards int
-	// CommitWorkers is the concurrent commit goroutine count when
-	// Shards > 0 (0 = all CPUs). Unlike Workers (which parallelizes
-	// across trials), this parallelizes within a trial.
+	// CommitWorkers, when > 0, runs trials on the sharded commit path:
+	// claim-disjoint kills and joins commit concurrently on this many
+	// goroutines through core.ShardScheduler (batch kills and
+	// checkpoints run at barriers). Unlike Workers (which parallelizes
+	// across trials), this parallelizes within a trial. Results are
+	// bit-identical to the sequential path. Requires a DASH/SDASH
+	// healer and Uniform victims, and is incompatible with
+	// TrackConnectivity and Observe (per-event observation assumes a
+	// single mutator); Run returns an error otherwise.
 	CommitWorkers int
 	// ObserveLatency, when non-nil, receives each kill's and join's
 	// submission-to-commit latency. On the sharded path it is called
@@ -265,7 +262,7 @@ func Run(cfg Config) (Result, error) {
 		newVictim = func() VictimPolicy { return Uniform{} }
 	}
 	trial := runTrial
-	if cfg.Shards > 0 {
+	if cfg.CommitWorkers > 0 {
 		if err := validateSharded(cfg, newVictim()); err != nil {
 			return Result{}, err
 		}

@@ -18,16 +18,16 @@ import (
 // which in-flight commits are still changing.
 func validateSharded(cfg Config, victim VictimPolicy) error {
 	if !core.SupportsSharded(cfg.Healer) {
-		return fmt.Errorf("scenario: Shards > 0 requires a DASH/SDASH healer, got %s", cfg.Healer.Name())
+		return fmt.Errorf("scenario: CommitWorkers > 0 requires a DASH/SDASH healer, got %s", cfg.Healer.Name())
 	}
 	if _, ok := victim.(Uniform); !ok {
-		return fmt.Errorf("scenario: Shards > 0 requires Uniform victims, got %s", victim.Name())
+		return fmt.Errorf("scenario: CommitWorkers > 0 requires Uniform victims, got %s", victim.Name())
 	}
 	if cfg.TrackConnectivity {
-		return fmt.Errorf("scenario: Shards > 0 is incompatible with TrackConnectivity")
+		return fmt.Errorf("scenario: CommitWorkers > 0 is incompatible with TrackConnectivity")
 	}
 	if cfg.Observe != nil {
-		return fmt.Errorf("scenario: Shards > 0 is incompatible with Observe (per-event tracing assumes a single mutator)")
+		return fmt.Errorf("scenario: CommitWorkers > 0 is incompatible with Observe (per-event tracing assumes a single mutator)")
 	}
 	return nil
 }
@@ -44,7 +44,7 @@ func validateSharded(cfg Config, victim VictimPolicy) error {
 // differential test in sharded_test.go holds the two paths equal).
 func runTrialSharded(cfg Config, events []Event, victim VictimPolicy, trial int, tr *rng.RNG) TrialResult {
 	t := newTrialRun(cfg, events, victim, trial, tr)
-	ss := core.NewShardedState(t.s, cfg.Shards)
+	ss := core.NewShardedState(t.s, 0)
 	sched := core.NewShardScheduler(ss, cfg.Healer, cfg.CommitWorkers)
 
 	var edgesAdded atomic.Int64

@@ -43,7 +43,6 @@ func TestShardedTrialDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4} {
-				cfg.Shards = 8
 				cfg.CommitWorkers = workers
 				shr, err := Run(cfg)
 				if err != nil {
@@ -60,41 +59,15 @@ func TestShardedTrialDifferential(t *testing.T) {
 	}
 }
 
-// TestShardedTrialShardsOne pins the shards=1 case: a single shard and a
-// single worker must still match the sequential engine exactly.
-func TestShardedTrialShardsOne(t *testing.T) {
-	cfg := Config{
-		NewGraph:     func(r *rng.RNG) *graph.Graph { return gen.BarabasiAlbert(400, 3, r) },
-		Schedule:     PresetSustainedChurn(400),
-		Healer:       core.DASH{},
-		Trials:       1,
-		Seed:         7,
-		MeasureEvery: 0,
-	}
-	seq, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Shards = 1
-	cfg.CommitWorkers = 1
-	shr, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq.Trials, shr.Trials) {
-		t.Fatalf("shards=1 diverged:\nseq %+v\nshr %+v", seq.Trials, shr.Trials)
-	}
-}
-
 // TestShardedValidation checks every rejected Config combination.
 func TestShardedValidation(t *testing.T) {
 	base := Config{
-		NewGraph: func(r *rng.RNG) *graph.Graph { return gen.BarabasiAlbert(64, 3, r) },
-		Schedule: PresetSustainedChurn(64),
-		Healer:   core.DASH{},
-		Trials:   1,
-		Seed:     1,
-		Shards:   2,
+		NewGraph:      func(r *rng.RNG) *graph.Graph { return gen.BarabasiAlbert(64, 3, r) },
+		Schedule:      PresetSustainedChurn(64),
+		Healer:        core.DASH{},
+		Trials:        1,
+		Seed:          1,
+		CommitWorkers: 2,
 	}
 	cases := []struct {
 		name   string
@@ -131,7 +104,6 @@ func TestShardedObserveLatency(t *testing.T) {
 		Trials:        1,
 		Seed:          3,
 		MeasureEvery:  -1,
-		Shards:        4,
 		CommitWorkers: 4,
 		ObserveLatency: func(d time.Duration) {
 			if d < 0 {

@@ -76,9 +76,6 @@ type Config struct {
 	// restore, stretch measurement) drain in-flight commits first.
 	// Requires a DASH/SDASH healer (New panics otherwise).
 	CommitWorkers int
-	// Shards is the graph shard count when CommitWorkers > 0 (rounded up
-	// to a power of two; 0 = one shard per CPU).
-	Shards int
 
 	// beforeApply, when non-nil, runs in the apply loop before each op —
 	// a test hook for making the loop arbitrarily slow.
@@ -228,7 +225,7 @@ func (s *Server) install(st *core.State) {
 		s.sched.Close() // the old generation's scheduler is already drained (Restore is exclusive)
 	}
 	if s.cfg.CommitWorkers > 0 {
-		s.ss = core.NewShardedState(st, s.cfg.Shards)
+		s.ss = core.NewShardedState(st, 0)
 		s.sched = core.NewShardScheduler(s.ss, s.healer, s.cfg.CommitWorkers)
 	}
 
@@ -717,12 +714,14 @@ func (s *Server) MeasureStretch(ctx context.Context) (StretchSample, error) {
 // Stats is the /metrics payload (histogram quantiles are upper bounds;
 // see metrics.Histogram).
 type Stats struct {
-	UptimeS   float64 `json:"uptime_s"`
-	Alive     int     `json:"alive"`
-	Edges     int     `json:"edges"`
-	NodeSlots int     `json:"node_slots"`
-	Gen       int     `json:"gen"`
-	Events    int     `json:"events"`
+	UptimeS float64 `json:"uptime_s"`
+	Alive   int     `json:"alive"`
+	// Edges and NodeSlots are read inside the apply loop, so they are
+	// reported only for a quiesced request and are absent otherwise.
+	Edges     *int `json:"edges,omitempty"`
+	NodeSlots *int `json:"node_slots,omitempty"`
+	Gen       int  `json:"gen"`
+	Events    int  `json:"events"`
 
 	QueueLen int   `json:"queue_len"`
 	QueueCap int   `json:"queue_cap"`
@@ -751,8 +750,10 @@ type HealLatency struct {
 }
 
 // Stats reports service counters without entering the op queue — it must
-// stay cheap and available even under full backpressure. Alive/edge
-// counts ride through the queue only when quiesce is set.
+// stay cheap and available even under full backpressure. Exact alive,
+// edge and node-slot counts ride through the queue only when quiesce is
+// set; otherwise Alive is the lock-free running count and Edges and
+// NodeSlots are left nil.
 func (s *Server) Stats(ctx context.Context, quiesce bool) (Stats, error) {
 	st := Stats{
 		UptimeS:     time.Since(s.started).Seconds(),
@@ -781,9 +782,8 @@ func (s *Server) Stats(ctx context.Context, quiesce bool) (Stats, error) {
 	s.mu.Unlock()
 	if quiesce {
 		err := s.enqueue(ctx, func() {
-			st.Alive = s.st.G.NumAlive()
-			st.Edges = s.st.G.NumEdges()
-			st.NodeSlots = s.st.G.N()
+			edges, slots := s.st.G.NumEdges(), s.st.G.N()
+			st.Alive, st.Edges, st.NodeSlots = s.st.G.NumAlive(), &edges, &slots
 		})
 		if err != nil {
 			return st, err

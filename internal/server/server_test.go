@@ -314,3 +314,46 @@ func TestStreamEndsCleanlyOnDrain(t *testing.T) {
 		t.Errorf("stream delivered %d events for %d kills", got.Load(), kills)
 	}
 }
+
+// TestMetricsCountsOnlyWhenQuiesced pins /metrics' two modes: without
+// ?quiesce=1 the edge and node-slot counts are absent from the JSON,
+// not reported as zero; with it they are the apply loop's exact values.
+// Both the single-writer and the sharded apply loop are covered.
+func TestMetricsCountsOnlyWhenQuiesced(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		s, ts := newTestServer(t, Config{Seed: 5, CommitWorkers: workers}, 60)
+		wantEdges, wantSlots := s.st.G.NumEdges(), s.st.G.N()
+
+		fields := func(query string) map[string]json.RawMessage {
+			t.Helper()
+			resp, err := http.Get(ts.URL + "/metrics" + query)
+			if err != nil {
+				t.Fatalf("workers=%d GET /metrics%s: %v", workers, query, err)
+			}
+			defer resp.Body.Close()
+			var m map[string]json.RawMessage
+			if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+				t.Fatalf("workers=%d /metrics%s: %v", workers, query, err)
+			}
+			return m
+		}
+		m := fields("")
+		for _, k := range []string{"edges", "node_slots"} {
+			if v, ok := m[k]; ok {
+				t.Errorf("workers=%d: unquiesced /metrics reports %s = %s, want it absent", workers, k, v)
+			}
+		}
+		if string(m["alive"]) != "60" {
+			t.Errorf("workers=%d: unquiesced alive = %s, want 60", workers, m["alive"])
+		}
+
+		st, err := (&Client{BaseURL: ts.URL}).Stats(context.Background(), false, true)
+		if err != nil {
+			t.Fatalf("workers=%d stats: %v", workers, err)
+		}
+		if st.Edges == nil || *st.Edges != wantEdges || st.NodeSlots == nil || *st.NodeSlots != wantSlots {
+			t.Errorf("workers=%d: quiesced edges=%v node_slots=%v, want %d and %d",
+				workers, st.Edges, st.NodeSlots, wantEdges, wantSlots)
+		}
+	}
+}

@@ -25,7 +25,7 @@ func TestE2EShardedHammerStreamReplay(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 
-	s := New(Config{Seed: 77, QueueDepth: 64, CommitWorkers: 4, Shards: 8, Healer: core.SDASH{}},
+	s := New(Config{Seed: 77, QueueDepth: 64, CommitWorkers: 4, Healer: core.SDASH{}},
 		gen.BarabasiAlbert(400, 3, rng.New(77)))
 	ts := newHTTPServer(t, s)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -110,7 +110,7 @@ func TestE2EShardedRestore(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 
-	s := New(Config{Seed: 88, CommitWorkers: 2, Shards: 4},
+	s := New(Config{Seed: 88, CommitWorkers: 2},
 		gen.BarabasiAlbert(200, 3, rng.New(88)))
 	ts := newHTTPServer(t, s)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
