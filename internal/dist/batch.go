@@ -28,12 +28,13 @@ package dist
 //     labels cannot tell apart the fragments a multi-node deletion
 //     splits a G′ tree into), then collects heal reports, wires one
 //     representative per component as DASH's complete binary tree, and
-//     floods MINID exactly as a single-kill round does. Clusters whose
-//     heal regions are disjoint run concurrently; intersecting clusters
-//     chain in ascending root order — the order core.DeleteBatchAndHeal
+//     floods MINID exactly as a single-kill round does. Clusters are
+//     admitted in ascending root order — the order core.DeleteBatchAndHeal
 //     processes them, which matters because each cluster's heal changes
 //     the δs, labels, and G′ components the next cluster's heal
-//     observes. See pipeline.go.
+//     observes — and a cluster whose claim (its candidates and their
+//     labels) meets no running sibling's heals concurrently with them.
+//     See pipeline.go.
 //
 // Lemma 9 accounting matches the sequential engine's: each cluster's
 // MINID wave contributes its own depth to the flood sums, and the whole

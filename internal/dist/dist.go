@@ -42,7 +42,8 @@
 //
 // Pipelined epochs. Operations no longer run one-at-a-time: the
 // supervisor's epoch scheduler (pipeline.go) lets any two operations
-// whose conflict regions are disjoint run fully concurrently — a new
+// whose claims (nodes plus G′ labels read or written) do not conflict
+// run fully concurrently — a new
 // deletion's epoch starts while a prior MINID flood is still draining
 // elsewhere, and a batch epoch's dead clusters heal in parallel instead
 // of in strict root order. Conflicting epochs are chained in issue
@@ -156,7 +157,7 @@ type Network struct {
 	dead      []bool   // epoch completed: the kill of this node succeeded
 	exited    []bool   // the node goroutine has stopped (set by the node itself)
 	deadStats []finalStats
-	epochHops map[uint64]map[int]int // per-epoch adopters -> min hop distance
+	epochHops map[uint64]*floodRecord // per-epoch MINID wave records
 	floodSum  int64
 	floodMax  int
 	rounds    int
@@ -233,7 +234,7 @@ func assemble(g *graph.Graph, ids []uint64, kind HealerKind) *Network {
 		dead:          make([]bool, n),
 		exited:        make([]bool, n),
 		deadStats:     make([]finalStats, n),
-		epochHops:     make(map[uint64]map[int]int),
+		epochHops:     make(map[uint64]*floodRecord),
 		batchClusters: make(map[uint64][]batchCluster),
 	}
 	nodes := make([]*node, n)
@@ -273,7 +274,7 @@ func assemble(g *graph.Graph, ids []uint64, kind HealerKind) *Network {
 	}
 	nw.nodes.Store(&nodes)
 	nw.transport = directTransport{nw: nw}
-	nw.pipe = newPipeline(nw, g)
+	nw.pipe = newPipeline(nw, g, ids)
 	nw.track.onZero = nw.pipe.onEpochZero
 	return nw
 }
@@ -284,13 +285,15 @@ func (nw *Network) node(v int) *node { return (*nw.nodes.Load())[v] }
 // nodeSlice returns the current node-slice snapshot.
 func (nw *Network) nodeSlice() []*node { return *nw.nodes.Load() }
 
-// appendNode publishes a new node slot (copy-on-write, under nw.mu).
+// appendNode publishes a new node slot (under nw.mu). The append
+// writes into the backing array's spare capacity when there is some,
+// which is amortized O(1); that slot lies past the length of every
+// header already published, and readers never index past their own
+// header, so the atomic Store of the new header is the only
+// synchronization needed.
 func (nw *Network) appendNode(nd *node) {
-	old := *nw.nodes.Load()
-	fresh := make([]*node, len(old)+1)
-	copy(fresh, old)
-	fresh[len(old)] = nd
-	nw.nodes.Store(&fresh)
+	nodes := append(*nw.nodes.Load(), nd)
+	nw.nodes.Store(&nodes)
 }
 
 // start spawns one goroutine per live node.
@@ -349,10 +352,10 @@ func (nw *Network) KillWithTimeout(v int, timeout time.Duration) error {
 }
 
 // KillAsync schedules the deletion of node v as a pipelined epoch and
-// returns immediately. The epoch launches at once when its conflict
-// region is disjoint from every in-flight epoch's, else after the
-// conflicting epochs complete. It panics if v is dead or already
-// targeted by a pending epoch.
+// returns immediately. Epochs launch in issue order: this one launches
+// at once when every earlier epoch has launched and its claim meets no
+// in-flight epoch's, else after the conflicting epochs complete. It
+// panics if v is dead or already targeted by a pending epoch.
 func (nw *Network) KillAsync(v int) *Epoch {
 	return nw.pipe.issueKill(v)
 }
@@ -434,19 +437,27 @@ func (nw *Network) SetSerial(serial bool) {
 	nw.pipe.mu.Unlock()
 }
 
+// floodRecord is one epoch's MINID wave as seen by the supervisor: the
+// label it carries and each adopter's minimum hop distance from the
+// reconnection set.
+type floodRecord struct {
+	label uint64
+	hops  map[int]int
+}
+
 // recordFloodDepth notes that node v adopted (or relaxed) an epoch's
 // label at the given hop distance from the reconnection set. The epoch's
 // depth is the maximum over adopters of each adopter's minimum distance
 // — the same quantity the sequential BFS computes for Lemma 9.
-func (nw *Network) recordFloodDepth(epoch uint64, v, hops int) {
+func (nw *Network) recordFloodDepth(epoch uint64, v, hops int, label uint64) {
 	nw.mu.Lock()
-	hopsByNode := nw.epochHops[epoch]
-	if hopsByNode == nil {
-		hopsByNode = make(map[int]int)
-		nw.epochHops[epoch] = hopsByNode
+	rec := nw.epochHops[epoch]
+	if rec == nil {
+		rec = &floodRecord{label: label, hops: make(map[int]int)}
+		nw.epochHops[epoch] = rec
 	}
-	if cur, ok := hopsByNode[v]; !ok || hops < cur {
-		hopsByNode[v] = hops
+	if cur, ok := rec.hops[v]; !ok || hops < cur {
+		rec.hops[v] = hops
 	}
 	nw.mu.Unlock()
 }
@@ -454,11 +465,18 @@ func (nw *Network) recordFloodDepth(epoch uint64, v, hops int) {
 // foldFloodDepth folds one completed epoch's flood-depth records into
 // the Lemma 9 accounting: each epoch (each batch cluster heal runs
 // under its own child epoch) contributes its own maximum adopter depth,
-// exactly as one sequential PropagateMinID call does.
-func (nw *Network) foldFloodDepth(epoch uint64) {
+// exactly as one sequential PropagateMinID call does. It hands back the
+// wave's label and its adopters (the hop map's keys; nil when nothing
+// adopted) for the scheduler's label mirror.
+func (nw *Network) foldFloodDepth(epoch uint64) (label uint64, adopters map[int]int) {
 	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	rec := nw.epochHops[epoch]
+	if rec == nil {
+		return 0, nil
+	}
 	depth := 0
-	for _, h := range nw.epochHops[epoch] {
+	for _, h := range rec.hops {
 		if h > depth {
 			depth = h
 		}
@@ -468,7 +486,7 @@ func (nw *Network) foldFloodDepth(epoch uint64) {
 	if depth > nw.floodMax {
 		nw.floodMax = depth
 	}
-	nw.mu.Unlock()
+	return rec.label, rec.hops
 }
 
 // storeFinal archives a dying node's counters and records that its
@@ -486,8 +504,8 @@ func (nw *Network) storeFinal(v int, fs finalStats) {
 // wave, and the number of rounds. The wave relaxes hop tags to true G′
 // distances, so these equal the sequential core.State.FloodDepthSum,
 // MaxFloodDepth, and Rounds exactly — including under pipelining,
-// because epoch scheduling confines each wave to its own conflict
-// region.
+// because no concurrent epoch reads or writes the labels a wave
+// rewrites.
 func (nw *Network) FloodStats() (sum int64, max int, rounds int) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
@@ -502,6 +520,11 @@ type Snap struct {
 
 	CurID []uint64 // component labels (0 for dead nodes)
 	Delta []int    // δ per node (0 for dead nodes)
+
+	// LabelMirror is the epoch scheduler's copy of every slot's label,
+	// the input to its conflict claims. After a drain it must equal
+	// CurID at every live node; differential harnesses assert that.
+	LabelMirror []uint64
 
 	MsgSent   []int64 // Lemma 8 label notifications sent, per node
 	CoordMsgs []int64 // healing coordination messages sent, per node
@@ -533,6 +556,8 @@ func (nw *Network) Snapshot() *Snap {
 		MsgSent:   make([]int64, n),
 		CoordMsgs: make([]int64, n),
 		NoNMsgs:   make([]int64, n),
+
+		LabelMirror: nw.pipe.labels(),
 	}
 	replies := make(chan nodeSnap, n)
 	live := 0

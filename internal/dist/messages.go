@@ -149,10 +149,11 @@ const (
 	// detector — aborts the torn epoch and runs a recovery epoch over
 	// the crashed node plus the aborted epoch's victim.
 
-	// msgEpochAbort (supervisor → aborted epoch's region) tears down one
-	// epoch's partial work: the receiver unwinds any healing edges it
-	// wired for the epoch's victim, discards leader scratch state, and
-	// ignores the epoch's remaining coordination traffic.
+	// msgEpochAbort (supervisor → the aborted epoch's claimed nodes)
+	// tears down one epoch's partial work: the receiver unwinds any
+	// healing edges it wired for the epoch's victim, discards leader
+	// scratch state, and ignores the epoch's remaining coordination
+	// traffic.
 	msgEpochAbort
 
 	// msgCrashNotice (supervisor → a crash victim's neighbors) is the

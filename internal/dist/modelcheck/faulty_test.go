@@ -96,7 +96,7 @@ func TestLeaderCrashExhaustive(t *testing.T) {
 }
 
 // TestStandaloneCrashExhaustive crashes a node that is in no epoch's
-// region: the supervisor must run a pure recovery epoch (batch heal of
+// claim: the supervisor must run a pure recovery epoch (batch heal of
 // the singleton) with no abort, concurrently with an unrelated kill on
 // the other triangle.
 func TestStandaloneCrashExhaustive(t *testing.T) {
@@ -111,7 +111,7 @@ func TestStandaloneCrashExhaustive(t *testing.T) {
 			Ops:    []Op{{Kind: OpKill, Victim: 5}},
 		},
 		Crashes:      1,
-		CrashTargets: []int{1}, // not in kill(5)'s region
+		CrashTargets: []int{1}, // not in kill(5)'s claim
 	}
 	res := runFaulty(t, cfg)
 	if res.CrashedTerminals == 0 {
@@ -167,5 +167,79 @@ func TestFaultyMatchesFaultFree(t *testing.T) {
 	res := runFaulty(t, cfg)
 	if res.Oracles != 1 {
 		t.Fatalf("fault-free run saw %d effective logs, want 1", res.Oracles)
+	}
+}
+
+// TestQueuedBehindLaunchedCrashExhaustive pins the crash rule for an
+// epoch queued behind a conflicting launched one. Kill 0 launches and
+// claims {0, 1, 2}; kill 1 shares nodes 0 and 1 with it, so it queues.
+// Node 3's recovery would heal {3} ∪ N(3) = {2, 3, 5}, which misses
+// kill 1's own claim {0, 1, 4} but meets kill 0's. Once kill 0 heals,
+// node 2 is wired to node 1, so kill 1's heal reaches the recovery's
+// nodes: the two do not commute. The recovery jumps the queue while
+// kill 1 keeps its earlier log position, so the crash must be refused
+// until kill 1 has launched. Checking only the queued epoch's own claim
+// granted it, and the flood accounting diverged from the effective-op
+// replay in this configuration.
+func TestQueuedBehindLaunchedCrashExhaustive(t *testing.T) {
+	g := func() *graph.Graph {
+		gr := graph.New(6)
+		for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 4}, {2, 3}, {3, 5}} {
+			gr.AddEdge(e[0], e[1])
+		}
+		return gr
+	}
+	cfg := FaultConfig{
+		Config: Config{
+			Graph:  g,
+			Seed:   1,
+			Healer: dist.HealDASH,
+			Ops:    []Op{{Kind: OpKill, Victim: 0}, {Kind: OpKill, Victim: 1}},
+		},
+		Crashes:      1,
+		CrashTargets: []int{3},
+	}
+	res := runFaulty(t, cfg)
+	if res.CrashedTerminals == 0 {
+		t.Fatal("no terminal state crashed: the schedule space never exercised recovery")
+	}
+}
+
+// TestRecoveryReachCrashExhaustive pins the other half of that rule:
+// the recovery's own reach is widened by the launched epochs it meets.
+// Kill 0 merges {1, 2} under label A; kill 3 then launches, reading A
+// and rewriting node 4's label B. Kill 5 reads A too and is queued
+// behind kill 7, which shares its nodes. Node 8's recovery heals {4, 9}
+// where node 9's label is below A (seed 51's IDs): its claim misses kill
+// 5's reach (kill 5 plus kill 7), yet once kill 3 relabels node 4 to A,
+// the recovery floods A's component — which kill 5 reads. Without the
+// widening the crash was granted and the flood accounting diverged.
+func TestRecoveryReachCrashExhaustive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large enumeration; run without -short")
+	}
+	g := func() *graph.Graph {
+		gr := graph.New(10)
+		for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {3, 4}, {2, 5}, {5, 6}, {5, 7}, {4, 8}, {8, 9}} {
+			gr.AddEdge(e[0], e[1])
+		}
+		return gr
+	}
+	cfg := FaultConfig{
+		Config: Config{
+			Graph:  g,
+			Seed:   51,
+			Healer: dist.HealDASH,
+			Ops: []Op{
+				{Kind: OpKill, Victim: 0}, {Kind: OpKill, Victim: 3},
+				{Kind: OpKill, Victim: 7}, {Kind: OpKill, Victim: 5},
+			},
+		},
+		Crashes:      1,
+		CrashTargets: []int{8},
+	}
+	res := runFaulty(t, cfg)
+	if res.CrashedTerminals == 0 {
+		t.Fatal("no terminal state crashed: the schedule space never exercised recovery")
 	}
 }

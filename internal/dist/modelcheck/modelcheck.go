@@ -1,9 +1,8 @@
 // Package modelcheck exhaustively enumerates message delivery orders of
 // the pipelined distributed healer on small configurations and asserts
 // that every interleaving converges to the exact sequential core result
-// — the correctness foundation under the epoch pipeline's claim that
-// overlapping heal epochs commute with everything outside their
-// conflict regions.
+// — the correctness foundation under the epoch pipeline's argument
+// that epochs whose claims do not conflict commute.
 //
 // The unit of nondeterminism is the same one the runtime has: which
 // non-empty (receiver, sender) channel delivers its oldest message next

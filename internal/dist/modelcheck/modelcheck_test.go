@@ -9,7 +9,7 @@ import (
 
 // bridgedTriangles is the canonical small overlap topology: two
 // triangles {0,1,2} and {3,4,5} joined by the bridge 2–3. Killing 0
-// and killing 5 have disjoint conflict regions ({0,1,2} and {3,4,5}),
+// and killing 5 have disjoint claims (nodes {0,1,2} and {3,4,5}),
 // so the pipeline genuinely overlaps their epochs and the enumeration
 // covers every cross-epoch interleaving.
 func bridgedTriangles() *graph.Graph {
@@ -39,7 +39,7 @@ func run(t *testing.T, cfg Config) Result {
 }
 
 // TestTwoOverlappingKills enumerates every delivery order of two
-// concurrent single-kill epochs with disjoint conflict regions on the
+// concurrent single-kill epochs with disjoint claims on the
 // 6-node bridged-triangle graph — the first acceptance configuration:
 // a second deletion's epoch starts while the first heal (including its
 // MINID flood) is still draining, in every possible relative order.
@@ -77,7 +77,7 @@ func TestBatchKillOverlappingJoin(t *testing.T) {
 }
 
 // TestConflictingKillsSerialize kills both bridge endpoints: their
-// conflict regions intersect, so the pipeline must chain the epochs in
+// claims share nodes 2 and 3, so the pipeline must chain the epochs in
 // issue order. Every interleaving of the first epoch's tail with the
 // second epoch's head must still match core applied in issue order —
 // this is the dependency-chaining path of the scheduler.
@@ -92,7 +92,7 @@ func TestConflictingKillsSerialize(t *testing.T) {
 }
 
 // TestThreeOverlappingEpochs pushes to three concurrent epochs: two
-// disjoint kills plus a join on a third, detached region of a larger
+// disjoint kills plus a join on a third, detached part of a larger
 // 8-node configuration.
 func TestThreeOverlappingEpochs(t *testing.T) {
 	if testing.Short() {

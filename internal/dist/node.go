@@ -519,7 +519,7 @@ func (nd *node) onAttach(msg message) {
 	}
 	for x := range nd.roundWires {
 		// Any other round this endpoint wired for has completed (an
-		// endpoint is in at most one active round's region at a time);
+		// endpoint is in at most one active round's claim at a time);
 		// only the current round can still be aborted.
 		if x != msg.victim {
 			delete(nd.roundWires, x)
@@ -655,7 +655,7 @@ func (nd *node) onLabelFlood(victim int, label uint64, hops int) {
 	default:
 		return
 	}
-	nd.nw.recordFloodDepth(nd.curEpoch, nd.id, hops)
+	nd.nw.recordFloodDepth(nd.curEpoch, nd.id, hops, label)
 	for w := range nd.gpNbrs {
 		nd.coordMsgs++
 		nd.send(w, message{kind: msgLabelFlood, from: nd.id, victim: victim, label: label, hops: hops + 1})

@@ -10,57 +10,75 @@ package dist
 //
 // # Why overlapping epochs stay bit-identical to the sequential engine
 //
-// The scheduler maintains a mirror of G and G′ (updated only at epoch
-// completion, from the operation itself plus the attach orders the
-// transport recorded for the epoch) and computes for each operation a
-// conflict region — an over-approximation of every node whose state the
-// epoch may read or write:
+// The scheduler mirrors G (mirG) and every node's G′ component label
+// (lab). Both change only when an epoch completes: mirG from the
+// operation itself plus the attach orders the transport recorded for
+// the epoch, lab from the adopters of the epoch's MINID flood. When an
+// epoch launches, the scheduler computes its claim from the mirror in
+// O(deg), walking nothing: a node set, the labels the epoch only
+// reads, and the labels it writes.
 //
-//	region(kill x)    = {x} ∪ N_G(x) ∪ (G′ components of those nodes)
-//	region(join A,v)  = A ∪ {v}
-//	region(batch V)   = V ∪ N_G(V) ∪ (G′ components of those nodes)
+//	claim(kill x)       nodes {x} ∪ N_G(x); reads min lab(N_G(x)); writes the other labels of N_G(x)
+//	claim(join A, v)    nodes A ∪ {v};      reads lab(A)
+//	claim(batch V)      nodes V ∪ N_G(V);   writes all their labels
+//	claim(cluster C)    nodes C;            writes lab(C)   (C: the cluster's healing candidates)
 //
-// The G′-component closure is what confines a MINID flood: the wave
-// travels only the merged post-heal G′ component of the reconnection
-// set, which is a subset of the union of the members' pre-heal
-// components plus the healing edges — all inside the region. Every
-// sender of an epoch's messages is inside the region too, so an epoch
-// can never address a node that a disjoint epoch has removed. The only
-// messages that land outside a region are one-hop "ring" writes — the
-// Lemma 8 label notifications and NoN gossip to neighbors of region
-// members. Those update the recipient's view of the *sender* (a region
-// member), never state a disjoint epoch reads: any epoch that reads a
-// node's label or neighborhood has that node in its own region, and
-// overlapping regions are never run concurrently. Stale cross-epoch
-// floods are impossible for the same reason; the node-side
-// victim/floodRound stale checks (see node.onLabelFlood) remain as the
-// compensation backstop and are what the model checker exercises.
+// A label stands for every G′ component carrying it. A kill's MINID
+// flood travels the merged post-heal component of its reconnection set
+// RT, and RT's labels are labels of N_G(x). The flood's minimum is
+// therefore at least min lab(N_G(x)), and only components labeled
+// strictly above it are rewritten: the minimum's component is read
+// (the wave stops at its border) but never written. Every other state
+// an epoch touches — adjacency, δ, NoN tables, leader scratch — lives
+// at nodes of its node set. A join only reads its targets' labels, but
+// it must read them: an adopter's Lemma 8 notifications go to every G
+// neighbor, so a flood through a target has to see the join edge
+// exactly when the sequential order does. Batch and cluster epochs
+// probe whole G′ components, so they hold every label as a write.
 //
-// Two epochs conflict iff their regions intersect (or either is
-// "universal", the fallback when a region would exceed regionCap).
-// Conflicting epochs are chained in issue order — so any pair of
-// operations that could observe each other executes in exactly the
-// sequential order — and disjoint epochs run fully concurrently.
+// Two claims conflict iff they share a node, share a write label, or
+// one's write label is the other's read label. So kills that only read
+// the giant component's label run together, while a kill that would
+// rewrite it waits.
 //
-// A subtlety: an epoch's true read/write set at *launch* time can be
-// larger than at issue time, because a conflicting predecessor may have
-// merged G′ components into its own region. Recomputing regions at
-// launch would be unsound the other way (later epochs checked against
-// the stale issue-time region). Instead each epoch freezes an
-// *effective* region at issue: its tentative region unioned with the
-// effective regions of everything it conflicts with. Growth is only
-// ever into a dependency's region, so the frozen closure is a sound
-// over-approximation for every later conflict check.
+// Admission launches queued epochs in issue order. The oldest queued
+// epoch computes its claim against the mirror and launches only if the
+// claim meets no launched epoch's claim; otherwise it and everything
+// behind it wait for the next completion. Because a launched epoch
+// changes only the adjacency of its node set and the labels it writes,
+// a claim that meets none of the launched claims is computed from the
+// mirror exactly as it would be after those epochs completed, and it
+// commutes with all of them. Every epoch issued earlier has launched,
+// so each epoch observes precisely the state the sequential engine
+// reaches at its position in the issue order.
 //
-// Batch epochs stage exactly as before (die → cluster probe → collect →
-// commit → stop), but each dead cluster's heal then runs under its own
-// child epoch: cluster regions (candidates plus their post-deletion G′
-// components, computed on the mirror) let disjoint clusters heal
-// concurrently, while intersecting clusters chain in ascending root
-// order — the sequential engine's order.
+// The only messages that land outside a claim are one-hop "ring"
+// writes — the Lemma 8 label notifications and NoN gossip to neighbors
+// of claimed nodes — and flood messages that die at the border of the
+// read component. Ring writes update the recipient's view of the
+// *sender*, a claimed node; any epoch that later reads that view (a
+// leader reading a dead neighbor's label and neighborhood) claims the
+// sender itself. The node-side victim/floodRound stale checks (see
+// node.onLabelFlood) remain as the compensation backstop and are what
+// the model checker exercises.
+//
+// Universal epochs conflict with everything: they launch only into an
+// empty pipeline and nothing launches beside them. SetSerial makes
+// every epoch universal (the old barrier, for baselines), and crash
+// recovery epochs are always universal (recovery.go).
+//
+// Batch epochs stage as before (die → cluster probe → collect → commit
+// → stop), but each dead cluster's heal then runs under its own child
+// epoch. Clusters are admitted by the same rule, in ascending root
+// order — the sequential engine's order — with claims computed on the
+// post-deletion mirror at launch, so disjoint clusters heal
+// concurrently. The batch's own claim covers every cluster's, so no
+// other epoch needs to look at the children.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -68,12 +86,6 @@ import (
 
 	"repro/internal/graph"
 )
-
-// defaultRegionCap bounds conflict-region size. An epoch whose region
-// would grow past the cap is marked universal — it conflicts with
-// everything, degrading that one operation to the old barrier behavior
-// instead of making the scheduler pay O(n) region bookkeeping per op.
-const defaultRegionCap = 512
 
 type epochKind uint8
 
@@ -153,12 +165,10 @@ type epochState struct {
 	stage  string // current stage, for diagnostics and dispatch
 	handle *Epoch
 
-	// Conflict scheduling. region is the frozen effective region
-	// (nil when universal); deps are the incomplete epochs this one must
-	// wait for, in issue order.
-	region    map[int]struct{}
+	// Conflict scheduling. claim is computed at launch (nil before, and
+	// always nil for a universal epoch).
+	claim     *claim
 	universal bool
-	deps      map[uint64]struct{}
 	launched  bool
 	completed bool
 
@@ -185,11 +195,13 @@ type epochState struct {
 	attachInfo map[int]uint64
 	joinNode   *node
 
-	// Batch payload.
+	// Batch payload. nextCluster indexes the first cluster not yet
+	// launched.
 	batch        []int
 	batchSet     map[int]struct{}
 	clusters     []*epochState // epCluster children, ascending root order
 	clustersLeft int
+	nextCluster  int
 
 	// Cluster-child payload.
 	parent *epochState
@@ -197,27 +209,84 @@ type epochState struct {
 	leader int
 }
 
+// claim is an epoch's conflict footprint (see the package comment):
+// the nodes it touches and the G′ component labels it only reads or
+// also writes. Each slice is sorted and duplicate-free.
+type claim struct {
+	nodes  []int
+	writes []uint64
+	reads  []uint64
+}
+
+// meets reports whether two claims conflict: they share a node, share
+// a write label, or one writes a label the other reads.
+func (c *claim) meets(o *claim) bool {
+	return overlap(c.nodes, o.nodes) || overlap(c.writes, o.writes) ||
+		overlap(c.writes, o.reads) || overlap(c.reads, o.writes)
+}
+
+// touches reports whether node v, whose mirror label is l, lies inside
+// the claim: claimed itself, or in a component the claim reads or
+// writes.
+func (c *claim) touches(v int, l uint64) bool {
+	_, in := slices.BinarySearch(c.nodes, v)
+	if !in {
+		_, in = slices.BinarySearch(c.writes, l)
+	}
+	if !in {
+		_, in = slices.BinarySearch(c.reads, l)
+	}
+	return in
+}
+
+func (c *claim) String() string {
+	return fmt.Sprintf("claim %d nodes, %d write labels, %d read labels",
+		len(c.nodes), len(c.writes), len(c.reads))
+}
+
+// overlap reports whether two sorted slices share an element.
+func overlap[T cmp.Ordered](a, b []T) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
+}
+
+// sortedSet sorts xs in place and drops duplicates.
+func sortedSet[T cmp.Ordered](xs []T) []T {
+	slices.Sort(xs)
+	return slices.Compact(xs)
+}
+
 // pipeline is the epoch scheduler.
 type pipeline struct {
 	mu sync.Mutex
 	nw *Network
 
-	serial    bool // every epoch universal: the old barrier, for baselines
-	regionCap int
+	serial bool // every epoch universal: the old barrier, for baselines
 
 	nextEpoch uint64
 	epochs    map[uint64]*epochState // incomplete epochs (incl. cluster children)
 	order     []uint64               // incomplete top-level epochs, issue order
+	queue     []*epochState          // unlaunched top-level epochs, launch order
 
 	// pendingVictim maps a node to the incomplete epoch that will kill
 	// it, so double-kills and joins to doomed nodes panic at issue time
 	// exactly as they would against the sequential engine's state.
 	pendingVictim map[int]uint64
 
-	// mirG/mirGp mirror the healed topology as of the completed epochs —
-	// exactly the sequential engine's state at the same prefix of the
-	// issue order, which is what makes region computations sound.
-	mirG, mirGp *graph.Graph
+	// mirG mirrors G and lab every node's G′ component label as of the
+	// completed epochs: the state the sequential engine reaches by
+	// applying exactly those operations in issue order.
+	mirG *graph.Graph
+	lab  []uint64
 
 	// releases holds supervisor counter holds to drop once the current
 	// caller leaves the lock; flushing marks a flush loop in progress.
@@ -239,24 +308,26 @@ type pipeline struct {
 	attachRec map[uint64][][2]int // per-epoch attach edges seen by transport
 }
 
-func newPipeline(nw *Network, g *graph.Graph) *pipeline {
-	mirGp := graph.New(g.N())
-	for v := 0; v < g.N(); v++ {
-		if !g.Alive(v) {
-			mirGp.RemoveNode(v)
-		}
-	}
+// newPipeline starts the mirror at g with every label equal to the
+// node's initial ID, as core.NewState does.
+func newPipeline(nw *Network, g *graph.Graph, ids []uint64) *pipeline {
 	return &pipeline{
 		nw:            nw,
-		regionCap:     defaultRegionCap,
 		nextEpoch:     1, // epoch 0 is the untracked-traffic sentinel
 		epochs:        make(map[uint64]*epochState),
 		pendingVictim: make(map[int]uint64),
 		mirG:          g.Clone(),
-		mirGp:         mirGp,
+		lab:           append([]uint64(nil), ids...),
 		attachRec:     make(map[uint64][][2]int),
 		crashed:       make(map[int]bool),
 	}
+}
+
+// labels returns a copy of the label mirror.
+func (pi *pipeline) labels() []uint64 {
+	pi.mu.Lock()
+	defer pi.mu.Unlock()
+	return append([]uint64(nil), pi.lab...)
 }
 
 // recordAttach notes a healing edge ordered under an epoch; replayed
@@ -280,93 +351,106 @@ func (pi *pipeline) takeAttach(epoch uint64) [][2]int {
 	return rec
 }
 
-// ---- region computation (pi.mu held) ----
+// ---- claims (pi.mu held) ----
 
-// growRegion returns seeds ∪ (the mirror-G′ components of all seeds),
-// or (nil, false) when the region would exceed the cap.
-func (pi *pipeline) growRegion(seeds []int) (map[int]struct{}, bool) {
-	region := make(map[int]struct{}, len(seeds))
-	var queue []int
-	push := func(v int) bool {
-		if _, ok := region[v]; ok {
-			return true
-		}
-		region[v] = struct{}{}
-		if len(region) > pi.regionCap {
-			return false
-		}
-		queue = append(queue, v)
-		return true
+// killClaim is {x} ∪ N_G(x), reading the least label of N_G(x) and
+// writing the others.
+func (pi *pipeline) killClaim(x int) *claim {
+	nodes := pi.mirG.AppendNeighbors(make([]int, 0, pi.mirG.Degree(x)+1), x)
+	labels := make([]uint64, len(nodes))
+	for i, u := range nodes {
+		labels[i] = pi.lab[u]
 	}
-	for _, s := range seeds {
-		if !push(s) {
-			return nil, false
-		}
+	labels = sortedSet(labels)
+	c := &claim{nodes: sortedSet(append(nodes, x))}
+	if len(labels) > 0 {
+		c.reads, c.writes = labels[:1], labels[1:]
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if v >= pi.mirGp.N() || !pi.mirGp.Alive(v) {
-			continue
-		}
-		for _, u := range pi.mirGp.Neighbors(v) {
-			if !push(int(u)) {
-				return nil, false
-			}
-		}
-	}
-	return region, true
+	return c
 }
 
-func intersects(a, b map[int]struct{}) bool {
-	if len(a) > len(b) {
-		a, b = b, a
+// writeClaim claims nodes (reordered in place) and writes all of their
+// labels.
+func (pi *pipeline) writeClaim(nodes []int) *claim {
+	nodes = sortedSet(nodes)
+	labels := make([]uint64, len(nodes))
+	for i, u := range nodes {
+		labels[i] = pi.lab[u]
 	}
-	for v := range a {
-		if _, ok := b[v]; ok {
+	return &claim{nodes: nodes, writes: sortedSet(labels)}
+}
+
+// closedNbhd returns vs ∪ N_G(vs) on the mirror, unsorted.
+func (pi *pipeline) closedNbhd(vs []int) []int {
+	out := append([]int(nil), vs...)
+	for _, v := range vs {
+		out = pi.mirG.AppendNeighbors(out, v)
+	}
+	return out
+}
+
+// claimOf computes es's claim against the current mirror. Universal
+// epochs have none.
+func (pi *pipeline) claimOf(es *epochState) *claim {
+	switch es.kind {
+	case epKill:
+		return pi.killClaim(es.victim)
+	case epJoin:
+		labels := make([]uint64, len(es.attach))
+		for i, u := range es.attach {
+			labels[i] = pi.lab[u]
+		}
+		return &claim{
+			nodes: sortedSet(append([]int{es.newID}, es.attach...)),
+			reads: sortedSet(labels),
+		}
+	case epBatch:
+		return pi.writeClaim(pi.closedNbhd(es.batch))
+	case epCluster:
+		return pi.writeClaim(append([]int(nil), es.attach...))
+	}
+	return nil
+}
+
+// blocked reports whether es (with claim c, nil when universal) must
+// wait for a launched top-level epoch.
+func (pi *pipeline) blocked(es *epochState, c *claim) bool {
+	for _, id := range pi.order {
+		o := pi.epochs[id]
+		if o.launched && (es.universal || o.universal || o.claim.meets(c)) {
 			return true
 		}
 	}
 	return false
 }
 
-// enqueue computes the epoch's dependencies and frozen effective region
-// against every incomplete top-level epoch, registers it, and launches
-// it when nothing blocks it. Caller must flush() after unlocking.
-func (pi *pipeline) enqueue(es *epochState) {
-	if pi.serial {
-		es.universal, es.region = true, nil
-	}
-	es.deps = make(map[uint64]struct{})
-	for _, eid := range pi.order {
-		other := pi.epochs[eid]
-		if es.universal || other.universal || intersects(es.region, other.region) {
-			es.deps[eid] = struct{}{}
-			if other.universal {
-				es.universal, es.region = true, nil
-			}
-			if !es.universal {
-				for v := range other.region {
-					es.region[v] = struct{}{}
-				}
-				if len(es.region) > pi.regionCap {
-					es.universal, es.region = true, nil
-				}
-			}
+// admit launches queued epochs in launch order for as long as the head
+// of the queue is not blocked. Caller must flush() after unlocking.
+func (pi *pipeline) admit() {
+	for len(pi.queue) > 0 {
+		es := pi.queue[0]
+		var c *claim
+		if !es.universal {
+			c = pi.claimOf(es)
 		}
-	}
-	if es.universal {
-		// A universal epoch conflicts with everything, including epochs
-		// the region pass above skipped before the cap was hit.
-		for _, eid := range pi.order {
-			es.deps[eid] = struct{}{}
+		if pi.blocked(es, c) {
+			return
 		}
-	}
-	pi.epochs[es.id] = es
-	pi.order = append(pi.order, es.id)
-	if len(es.deps) == 0 {
+		es.claim = c
+		pi.queue[0] = nil
+		pi.queue = pi.queue[1:]
 		pi.launch(es)
 	}
+}
+
+// enqueue registers a new top-level epoch at the tail of the issue
+// order and admits what it can. Caller must flush() after unlocking.
+func (pi *pipeline) enqueue(es *epochState) {
+	es.universal = pi.serial
+	pi.epochs[es.id] = es
+	pi.order = append(pi.order, es.id)
+	pi.queue = append(pi.queue, es)
+	pi.admit()
 }
 
 // ---- supervisor counter holds ----
@@ -432,9 +516,6 @@ func (pi *pipeline) tryIssueKill(v int) *Epoch {
 	}
 	pi.nextEpoch++
 	es.handle = &Epoch{id: es.id, desc: fmt.Sprintf("kill %d", v), nw: pi.nw, done: make(chan struct{})}
-	seeds := append(pi.mirG.AppendNeighbors(nil, v), v)
-	es.region, _ = pi.growRegion(seeds)
-	es.universal = es.region == nil
 	pi.pendingVictim[v] = es.id
 	pi.effLog = append(pi.effLog, effEntry{epoch: es.id, op: EffectiveOp{Kind: EffKill, Victim: v}})
 	pi.enqueue(es)
@@ -515,9 +596,7 @@ func (pi *pipeline) tryIssueJoin(attachTo []int, id uint64) (int, *Epoch) {
 	if got := pi.mirG.AddNode(); got != v {
 		panic(fmt.Sprintf("dist: mirror slot %d for node %d", got, v))
 	}
-	if got := pi.mirGp.AddNode(); got != v {
-		panic(fmt.Sprintf("dist: mirror slot %d for node %d", got, v))
-	}
+	pi.lab = append(pi.lab, id) // a fresh singleton G′ component
 
 	es := &epochState{
 		id:         pi.nextEpoch,
@@ -530,13 +609,6 @@ func (pi *pipeline) tryIssueJoin(attachTo []int, id uint64) (int, *Epoch) {
 	}
 	pi.nextEpoch++
 	es.handle = &Epoch{id: es.id, desc: fmt.Sprintf("join %d", v), nw: nw, done: make(chan struct{})}
-	// A join reads only its targets' labels and neighborhoods and writes
-	// only edges among {v} ∪ attach; no G′ closure is involved.
-	es.region = make(map[int]struct{}, len(attach)+1)
-	es.region[v] = struct{}{}
-	for _, u := range attach {
-		es.region[u] = struct{}{}
-	}
 	pi.effLog = append(pi.effLog, effEntry{epoch: es.id, op: EffectiveOp{
 		Kind: EffJoin, NewID: v, InitID: id, Attach: append([]int(nil), attach...),
 	}})
@@ -587,12 +659,6 @@ func (pi *pipeline) issueBatch(vs []int) *Epoch {
 	}
 	pi.nextEpoch++
 	es.handle = &Epoch{id: es.id, desc: fmt.Sprintf("batch kill of %d nodes", len(batch)), nw: nw, done: make(chan struct{})}
-	seeds := append([]int(nil), batch...)
-	for _, v := range batch {
-		seeds = pi.mirG.AppendNeighbors(seeds, v)
-	}
-	es.region, _ = pi.growRegion(seeds)
-	es.universal = es.region == nil
 	for _, v := range batch {
 		pi.pendingVictim[v] = es.id
 	}
@@ -689,13 +755,12 @@ func (pi *pipeline) advance(es *epochState) {
 }
 
 func (pi *pipeline) completeKill(es *epochState) {
-	pi.nw.foldFloodDepth(es.id)
+	pi.foldFlood(es.id)
 	pi.nw.mu.Lock()
 	pi.nw.dead[es.victim] = true
 	pi.nw.rounds++
 	pi.nw.mu.Unlock()
 	pi.mirG.RemoveNode(es.victim)
-	pi.mirGp.RemoveNode(es.victim)
 	pi.applyAttach(es.id)
 	pi.finish(es)
 }
@@ -709,8 +774,17 @@ func (pi *pipeline) completeJoin(es *epochState) {
 	pi.finish(es)
 }
 
+// foldFlood folds a completed heal's Lemma 9 accounting and gives
+// every adopter of its MINID wave the wave's label in the mirror.
+func (pi *pipeline) foldFlood(epoch uint64) {
+	label, adopters := pi.nw.foldFloodDepth(epoch)
+	for v := range adopters {
+		pi.lab[v] = label
+	}
+}
+
 // applyAttach replays an epoch's healing edges into the mirror: each
-// attach order wires G′ and, when absent, G.
+// attach order whose real edge is absent wires G.
 func (pi *pipeline) applyAttach(epoch uint64) {
 	for _, e := range pi.takeAttach(epoch) {
 		a, b := e[0], e[1]
@@ -719,9 +793,6 @@ func (pi *pipeline) applyAttach(epoch uint64) {
 		}
 		if !pi.mirG.HasEdge(a, b) {
 			pi.mirG.AddEdge(a, b)
-		}
-		if !pi.mirGp.HasEdge(a, b) {
-			pi.mirGp.AddEdge(a, b)
 		}
 	}
 }
@@ -749,7 +820,6 @@ func (pi *pipeline) advanceBatch(es *epochState) {
 		pi.nw.mu.Unlock()
 		for _, v := range es.batch {
 			pi.mirG.RemoveNode(v)
-			pi.mirGp.RemoveNode(v)
 		}
 		es.stage = "stop"
 		pi.stageSend(es, func() { pi.broadcastBatch(es, msgStop) })
@@ -839,7 +909,7 @@ func (pi *pipeline) prepareClusters(es *epochState) {
 			parent: es,
 			root:   r,
 			leader: leader,
-			attach: cs, // candidate set doubles as the region seed
+			attach: cs, // candidate set doubles as the claim's node set
 		}
 		pi.nextEpoch++
 		es.clusters = append(es.clusters, child)
@@ -847,42 +917,36 @@ func (pi *pipeline) prepareClusters(es *epochState) {
 	es.clustersLeft = len(es.clusters)
 }
 
-// scheduleClusters runs after the zombies are reaped: compute each
-// cluster's heal region on the post-removal mirror, chain intersecting
-// clusters in ascending root order (the sequential engine's order), and
-// launch every cluster with no unmet dependency — concurrently.
+// scheduleClusters runs after the zombies are reaped: register the
+// clusters and admit them against the post-removal mirror.
 func (pi *pipeline) scheduleClusters(es *epochState) {
 	if len(es.clusters) == 0 {
 		pi.completeBatch(es)
 		return
 	}
-	for i, child := range es.clusters {
-		child.region, _ = pi.growRegion(child.attach)
-		child.universal = child.region == nil
-		child.deps = make(map[uint64]struct{})
-		for _, prev := range es.clusters[:i] {
-			if child.universal || prev.universal || intersects(child.region, prev.region) {
-				child.deps[prev.id] = struct{}{}
-				if prev.universal {
-					child.universal, child.region = true, nil
-				}
-				if !child.universal {
-					for v := range prev.region {
-						child.region[v] = struct{}{}
-					}
-					if len(child.region) > pi.regionCap {
-						child.universal, child.region = true, nil
-					}
-				}
-			}
-		}
+	for _, child := range es.clusters {
 		child.handle = es.handle // children report into the parent's handle
 		pi.epochs[child.id] = child
 	}
-	for _, child := range es.clusters {
-		if len(child.deps) == 0 {
-			pi.launch(child)
+	pi.admitClusters(es)
+}
+
+// admitClusters launches the parent's clusters in ascending root order
+// for as long as the next one's claim meets no launched sibling's —
+// admit's rule, one level down. The parent's claim covers every
+// cluster's, so no other epoch takes part.
+func (pi *pipeline) admitClusters(parent *epochState) {
+	for parent.nextCluster < len(parent.clusters) {
+		child := parent.clusters[parent.nextCluster]
+		c := pi.claimOf(child)
+		for _, sib := range parent.clusters[:parent.nextCluster] {
+			if !sib.completed && sib.claim.meets(c) {
+				return
+			}
 		}
+		child.claim = c
+		parent.nextCluster++
+		pi.launch(child)
 	}
 }
 
@@ -896,22 +960,14 @@ func (pi *pipeline) advanceCluster(es *epochState) {
 	default: // wire stage drained: the cluster is healed
 		// Per-cluster Lemma 9 accounting, mirroring the sequential
 		// engine's one PropagateMinID call per cluster.
-		pi.nw.foldFloodDepth(es.id)
+		pi.foldFlood(es.id)
 		pi.applyAttach(es.id)
 		es.completed = true
 		delete(pi.epochs, es.id)
 		pi.nw.track.release(es.id)
 		parent := es.parent
 		parent.clustersLeft--
-		for _, sib := range parent.clusters {
-			if sib.launched || sib.completed {
-				continue
-			}
-			delete(sib.deps, es.id)
-			if len(sib.deps) == 0 {
-				pi.launch(sib)
-			}
-		}
+		pi.admitClusters(parent)
 		if parent.clustersLeft == 0 {
 			pi.completeBatch(parent)
 		}
@@ -926,19 +982,21 @@ func (pi *pipeline) completeBatch(es *epochState) {
 	pi.finish(es)
 }
 
-// finish marks a top-level epoch complete, releases everything blocked
-// on it, and launches newly unblocked epochs.
-func (pi *pipeline) finish(es *epochState) {
+// retire drops a top-level epoch from the scheduler's incomplete set.
+func (pi *pipeline) retire(es *epochState) {
 	es.completed = true
-	close(es.handle.done)
 	delete(pi.epochs, es.id)
 	pi.nw.track.release(es.id)
-	for i, id := range pi.order {
-		if id == es.id {
-			pi.order = append(pi.order[:i], pi.order[i+1:]...)
-			break
-		}
+	if i := slices.Index(pi.order, es.id); i >= 0 {
+		pi.order = slices.Delete(pi.order, i, i+1)
 	}
+}
+
+// finish marks a top-level epoch complete, closes its handle, and
+// admits whatever its claim was holding back.
+func (pi *pipeline) finish(es *epochState) {
+	pi.retire(es)
+	close(es.handle.done)
 	switch es.kind {
 	case epKill:
 		delete(pi.pendingVictim, es.victim)
@@ -957,16 +1015,7 @@ func (pi *pipeline) finish(es *epochState) {
 		}
 		pi.recovering = false
 	}
-	for _, id := range pi.order {
-		waiting := pi.epochs[id]
-		if waiting.launched {
-			continue
-		}
-		delete(waiting.deps, es.id)
-		if len(waiting.deps) == 0 {
-			pi.launch(waiting)
-		}
-	}
+	pi.admit()
 }
 
 // oldestIncomplete returns the handle of the earliest-issued incomplete
@@ -981,8 +1030,9 @@ func (pi *pipeline) oldestIncomplete() *Epoch {
 }
 
 // dumpEpochs renders the scheduler's view of every incomplete epoch for
-// DumpState: its kind, stage, and what blocks it — so a stalled network
-// is attributed to a specific epoch rather than an anonymous count.
+// DumpState: its kind, stage, and claim, and for a queued epoch its
+// place in the launch queue — so a stalled network is attributed to a
+// specific epoch rather than an anonymous count.
 func (pi *pipeline) dumpEpochs() string {
 	pi.mu.Lock()
 	defer pi.mu.Unlock()
@@ -993,24 +1043,24 @@ func (pi *pipeline) dumpEpochs() string {
 	for id := range pi.epochs {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	var b strings.Builder
 	for _, id := range ids {
 		es := pi.epochs[id]
-		state := "launched"
-		if !es.launched {
-			deps := make([]uint64, 0, len(es.deps))
-			for d := range es.deps {
-				deps = append(deps, d)
+		state, fp := "launched", "universal claim"
+		if !es.universal {
+			fp = "claim computed at launch"
+			if es.claim != nil {
+				fp = es.claim.String()
 			}
-			sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
-			state = fmt.Sprintf("queued behind %v", deps)
 		}
-		region := fmt.Sprintf("region %d nodes", len(es.region))
-		if es.universal {
-			region = "universal region"
+		if !es.launched {
+			state = "queued behind its earlier sibling clusters"
+			if i := slices.Index(pi.queue, es); i >= 0 {
+				state = fmt.Sprintf("queued at launch position %d", i)
+			}
 		}
-		fmt.Fprintf(&b, "  epoch %d: %s stage %q, %s, %s\n", id, es.kind, es.stage, state, region)
+		fmt.Fprintf(&b, "  epoch %d: %s stage %q, %s, %s\n", id, es.kind, es.stage, state, fp)
 	}
 	return b.String()
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // twoTriangles is the bridged-triangle overlap topology also used by
-// the model checker: killing 0 and killing 5 have disjoint conflict
-// regions, so their epochs run fully concurrently.
+// the model checker: killing 0 and killing 5 have disjoint claims, so
+// their epochs run fully concurrently.
 func twoTriangles() *graph.Graph {
 	g := graph.New(6)
 	g.AddEdge(0, 1)
@@ -29,9 +29,9 @@ func twoTriangles() *graph.Graph {
 }
 
 // TestDisjointEpochsLaunchConcurrently pins the scheduler's core
-// behavior: two kills with disjoint conflict regions are both launched
-// immediately, while a third, conflicting kill is queued behind its
-// dependency and only launches when it completes.
+// behavior: two kills with disjoint claims are both launched
+// immediately, while a third, conflicting kill is queued until the
+// epoch it conflicts with completes, and launches at that moment.
 func TestDisjointEpochsLaunchConcurrently(t *testing.T) {
 	seq := core.NewState(twoTriangles(), rng.New(1))
 	ids := make([]uint64, 6)
@@ -42,34 +42,27 @@ func TestDisjointEpochsLaunchConcurrently(t *testing.T) {
 	nw := s.Network()
 	ep0 := nw.KillAsync(0)
 	ep5 := nw.KillAsync(5)
-	ep1 := nw.KillAsync(1) // region {0,1,2,...} intersects kill 0's
+	ep1 := nw.KillAsync(1) // claims nodes 0 and 2, like kill 0
 
-	pi := nw.pipe
-	pi.mu.Lock()
-	if !pi.epochs[ep0.ID()].launched || !pi.epochs[ep5.ID()].launched {
-		pi.mu.Unlock()
+	if !launched(nw, ep0) || !launched(nw, ep5) {
 		t.Fatal("disjoint kill epochs were not launched concurrently")
 	}
-	dep := pi.epochs[ep1.ID()]
-	if dep.launched {
-		pi.mu.Unlock()
-		t.Fatal("conflicting kill epoch launched before its dependency completed")
+	if launched(nw, ep1) {
+		t.Fatal("conflicting kill epoch launched before the epoch it conflicts with completed")
 	}
-	if _, ok := dep.deps[ep0.ID()]; !ok {
-		pi.mu.Unlock()
-		t.Fatalf("kill 1 should depend on kill 0's epoch, deps=%v", dep.deps)
-	}
-	pi.mu.Unlock()
 
-	// Drive to quiescence in FIFO order and verify against core applied
-	// in issue order.
-	for {
-		evs := s.Enabled()
-		if len(evs) == 0 {
-			break
-		}
-		s.Deliver(evs[0])
+	// Drive in FIFO order until kill 0 completes: kill 1 must launch in
+	// that same step.
+	for !ep0.Done() {
+		s.Deliver(s.Enabled()[0])
 	}
+	if !launched(nw, ep1) {
+		t.Fatalf("kill 1 still queued after kill 0 completed:\n%s", nw.DumpState())
+	}
+
+	// Drive to quiescence and verify against core applied in issue
+	// order.
+	deliverAll(s)
 	for _, ep := range []*Epoch{ep0, ep5, ep1} {
 		if !ep.Done() {
 			t.Fatalf("epoch %d never completed:\n%s", ep.ID(), nw.DumpState())
@@ -195,8 +188,8 @@ func TestAsyncChurnConverges(t *testing.T) {
 		}
 		assertStateEqual(t, window, nw, seq)
 	}
-	// Exactness of the Lemma 9 accounting survives pipelining: floods
-	// are confined to their epoch's conflict region.
+	// Exactness of the Lemma 9 accounting survives pipelining: no
+	// concurrent epoch touches the labels a flood rewrites.
 	sum, max, rounds := nw.FloodStats()
 	if sum != seq.FloodDepthSum() || max != seq.MaxFloodDepth() || rounds != seq.Rounds() {
 		t.Fatalf("flood stats (sum=%d max=%d rounds=%d) diverged from sequential (%d, %d, %d)",

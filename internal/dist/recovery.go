@@ -15,7 +15,7 @@ package dist
 // not started its MINID flood. Everything else defers: joins and batch
 // epochs have multi-stage supervisor machinery that cannot be unwound
 // locally, a flood that has begun has already mutated labels, and a
-// node inside two epochs' regions cannot attribute its partial state.
+// node inside two epochs' claims cannot attribute its partial state.
 // The deferral is sound because the fault model is "crash at a named
 // protocol step", not "crash at an exact instant" — the point simply
 // fires at the next matching delivery.
@@ -28,10 +28,12 @@ package dist
 // node.roundWires. No label has changed. So msgEpochAbort can unwind
 // the epoch exactly: endpoints drop the recorded healing edges (and
 // gossip the retraction), the leader discards its scratchpad, and every
-// region member ignores the epoch's residual coordination traffic
+// claimed node ignores the epoch's residual coordination traffic
 // (abortedEpochs guard in node.handle). The victim's death itself is
 // NOT undone — x really died — its heal is simply re-run by the
-// recovery epoch, which treats {x, v} as one batch deletion.
+// recovery epoch, which treats {x, v} as one batch deletion. The abort
+// goes to the kill's claimed nodes, {x} ∪ N_G(x): the only nodes that
+// can hold the epoch's state before its flood.
 //
 // # The recovery epoch R
 //
@@ -48,14 +50,21 @@ package dist
 //
 // effLog records, in oracle order, the operations that actually mutated
 // the network. At crash time the aborted kill's entry is expunged (its
-// heal never happened) and R's batch entry is appended at the END:
-// launched epochs complete before R runs (they are R's deps), so they
-// commute trivially, and crashEligible refuses the crash unless every
-// queued (unlaunched) epoch's region is disjoint from R's footprint —
-// those epochs execute after R but keep their pre-crash log position,
-// which is sound precisely because they commute with R. Keeping queued
-// joins in place also keeps slot indices and initial-ID draws aligned
-// with issue order, which core replay depends on.
+// heal never happened) and R's batch entry is appended at the END.
+// R is universal and jumps the launch queue: it launches once every
+// launched epoch has completed, so those commute trivially, and every
+// queued epoch launches after R completes while keeping its pre-crash
+// log position. That is sound only if each queued epoch commutes with
+// R, so crashEligible refuses the crash unless every queued epoch's
+// reach is disjoint from R's. Claims are computed at launch, and a
+// launched epoch can still widen the claim of an epoch that conflicts
+// with it (a flood relabels a neighbor, a heal adds an edge), so an
+// epoch's reach is its claim on the current mirror plus the claims of
+// the launched epochs it meets. A queued epoch behind another queued
+// one inherits nothing the other's reach does not already cover, and
+// R holds every label as a write, so plain overlap decides. Keeping
+// queued joins in place also keeps slot indices and initial-ID draws
+// aligned with issue order, which core replay depends on.
 
 import (
 	"fmt"
@@ -213,16 +222,19 @@ func (pi *pipeline) crashEligible(v int) (*epochState, bool) {
 
 	// v must appear in at most one incomplete epoch (cluster children
 	// included), and that epoch must be an abortable kill: launched —
-	// so its region is final and its messages identifiable — but
-	// pre-flood, so no label has changed yet.
+	// so its claim is final and its messages identifiable — but
+	// pre-flood, so no label has changed yet. A queued epoch counts
+	// with the claim it would launch with now.
 	var hit *epochState
 	for _, es := range pi.epochs {
-		in := es.universal
-		if !in {
-			_, in = es.region[v]
-		}
-		if !in {
-			continue
+		if !es.universal {
+			c := es.claim
+			if c == nil {
+				c = pi.claimOf(es)
+			}
+			if !c.touches(v, pi.lab[v]) {
+				continue
+			}
 		}
 		if hit != nil {
 			return nil, false
@@ -234,28 +246,42 @@ func (pi *pipeline) crashEligible(v int) (*epochState, bool) {
 		return nil, false
 	}
 
-	// The recovery's own footprint (the batch region of W) must be
-	// disjoint from every queued epoch: queued epochs will execute
-	// after the recovery but keep their pre-crash position in the
-	// effective-op log, which is only sound when they commute with it.
-	seeds := append(pi.mirG.AppendNeighbors(nil, v), v)
+	// Every queued epoch's reach must be disjoint from the recovery's
+	// (see the package comment): queued epochs will execute after the
+	// recovery but keep their pre-crash position in the effective-op
+	// log, which is only sound when they commute with it.
+	W := []int{v}
 	if hit != nil {
-		seeds = append(pi.mirG.AppendNeighbors(seeds, hit.victim), hit.victim)
+		W = append(W, hit.victim)
 	}
-	foot, grown := pi.growRegion(seeds)
-	if !grown {
-		return nil, false
-	}
-	for _, id := range pi.order {
-		es := pi.epochs[id]
-		if es == hit || es.launched {
-			continue
+	rec := pi.reach(pi.writeClaim(pi.closedNbhd(W)))
+	for _, es := range pi.queue {
+		if es.universal {
+			return nil, false
 		}
-		if es.universal || intersects(es.region, foot) {
+		if rec.meets(pi.reach(pi.claimOf(es))) {
 			return nil, false
 		}
 	}
 	return hit, true
+}
+
+// reach returns c widened by the claims of the launched top-level
+// epochs it meets, every label held as a write: an over-approximation
+// of what the epoch holding c touches once those epochs complete.
+// crashEligible calls it only when no epoch is universal.
+func (pi *pipeline) reach(c *claim) *claim {
+	nodes := append([]int(nil), c.nodes...)
+	labels := append(append([]uint64(nil), c.writes...), c.reads...)
+	for _, id := range pi.order {
+		o := pi.epochs[id]
+		if !o.launched || o.universal || !o.claim.meets(c) {
+			continue
+		}
+		nodes = append(nodes, o.claim.nodes...)
+		labels = append(append(labels, o.claim.writes...), o.claim.reads...)
+	}
+	return &claim{nodes: sortedSet(nodes), writes: sortedSet(labels)}
 }
 
 // performCrash (pi.mu held) fail-stops v, aborts the torn kill epoch es
@@ -289,21 +315,11 @@ func (pi *pipeline) performCrash(v int, es *epochState) {
 		id: r.id, nw: nw, done: make(chan struct{}),
 		desc: fmt.Sprintf("crash recovery of %v", W),
 	}
-	// R waits for everything in flight; everything queued waits for R.
-	// (Launched epochs have no deps left, so this cannot cycle.)
-	r.deps = make(map[uint64]struct{})
-	for _, id := range pi.order {
-		if pi.epochs[id].launched {
-			r.deps[id] = struct{}{}
-		}
-	}
+	// R waits for everything in flight, and everything queued waits for
+	// R: it goes to the head of the launch queue.
 	pi.epochs[r.id] = r
 	pi.order = append(pi.order, r.id)
-	for _, id := range pi.order[:len(pi.order)-1] {
-		if o := pi.epochs[id]; !o.launched {
-			o.deps[r.id] = struct{}{}
-		}
-	}
+	pi.queue = append([]*epochState{r}, pi.queue...)
 	for _, w := range W {
 		pi.pendingVictim[w] = r.id
 	}
@@ -328,22 +344,19 @@ func (pi *pipeline) performCrash(v int, es *epochState) {
 	if es != nil {
 		es.aborted = true
 		r.adopts = append(r.adopts, es.handle)
-		// Tear the epoch down at every region member except the kill
+		// Tear the epoch down at every claimed node except the kill
 		// victim (its goroutine exited in die) and the crashed node
-		// (black-holed; its state is discarded anyway). Region members
-		// killed by epochs that completed after es was issued are
-		// skipped too — nobody is listening there.
+		// (black-holed; its state is discarded anyway).
 		x := es.victim
-		members := make([]int, 0, len(es.region))
+		members := make([]int, 0, len(es.claim.nodes))
 		nw.mu.Lock()
-		for u := range es.region {
+		for _, u := range es.claim.nodes {
 			if u == x || u == v || nw.dead[u] || nw.exited[u] {
 				continue
 			}
 			members = append(members, u)
 		}
 		nw.mu.Unlock()
-		sort.Ints(members)
 		pi.stageSend(es, func() {
 			for _, u := range members {
 				nw.send(u, message{kind: msgEpochAbort, from: srcSupervisor, epoch: es.id, victim: x})
@@ -351,9 +364,7 @@ func (pi *pipeline) performCrash(v int, es *epochState) {
 		})
 	}
 
-	if len(r.deps) == 0 {
-		pi.launch(r)
-	}
+	pi.admit()
 }
 
 // abortFinish retires an aborted kill epoch once its traffic (including
@@ -361,15 +372,7 @@ func (pi *pipeline) performCrash(v int, es *epochState) {
 // epoch's handle stays open — the recovery epoch adopted it — and the
 // victim stays doomed (pendingVictim now points at the recovery).
 func (pi *pipeline) abortFinish(es *epochState) {
-	es.completed = true
-	delete(pi.epochs, es.id)
-	pi.nw.track.release(es.id)
-	for i, id := range pi.order {
-		if id == es.id {
-			pi.order = append(pi.order[:i], pi.order[i+1:]...)
-			break
-		}
-	}
+	pi.retire(es)
 	// Discard the torn heal's recorded attach orders (undone node-side;
 	// they must never reach the mirror) and any stray flood-depth
 	// records (there can be none: the epoch never flooded).
@@ -377,16 +380,7 @@ func (pi *pipeline) abortFinish(es *epochState) {
 	pi.nw.mu.Lock()
 	delete(pi.nw.epochHops, es.id)
 	pi.nw.mu.Unlock()
-	for _, id := range pi.order {
-		waiting := pi.epochs[id]
-		if waiting.launched {
-			continue
-		}
-		delete(waiting.deps, es.id)
-		if len(waiting.deps) == 0 {
-			pi.launch(waiting)
-		}
-	}
+	pi.admit()
 }
 
 // launchRecover opens the recovery epoch: lenient tombstones for every
@@ -449,7 +443,6 @@ func (pi *pipeline) advanceRecover(es *epochState) {
 		pi.nw.mu.Unlock()
 		for _, w := range es.batch {
 			pi.mirG.RemoveNode(w)
-			pi.mirGp.RemoveNode(w)
 		}
 		es.stage = "lead"
 		pi.stageSend(es, func() {
@@ -551,7 +544,7 @@ func (pi *pipeline) prepareRecoveryClusters(es *epochState) {
 			parent:     es,
 			root:       r,
 			leader:     leader,
-			attach:     cs,      // candidate set doubles as the region seed
+			attach:     cs,      // candidate set doubles as the claim's node set
 			attachInfo: candIDs, // payload for the supervisor's msgBatchLead
 		}
 		pi.nextEpoch++

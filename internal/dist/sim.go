@@ -267,7 +267,11 @@ func (nd *node) writeState(w io.Writer) {
 func (pi *pipeline) writeState(w io.Writer) {
 	pi.mu.Lock()
 	defer pi.mu.Unlock()
-	fmt.Fprintf(w, "pi(next%d serial%t rec%t order%v ", pi.nextEpoch, pi.serial, pi.recovering, pi.order)
+	fmt.Fprintf(w, "pi(next%d serial%t rec%t order%v q[", pi.nextEpoch, pi.serial, pi.recovering, pi.order)
+	for _, es := range pi.queue {
+		fmt.Fprintf(w, "%d,", es.id)
+	}
+	fmt.Fprint(w, "] ")
 	for _, v := range sortedKeys(pi.pendingVictim) {
 		fmt.Fprintf(w, "pv%d:%d,", v, pi.pendingVictim[v])
 	}
@@ -290,16 +294,13 @@ func (pi *pipeline) writeState(w io.Writer) {
 			id, es.kind, es.stage, es.launched, es.completed, es.aborted,
 			es.floodStarted, es.victim, es.newID, es.attach, es.batch,
 			es.root, es.leader, es.universal)
-		fmt.Fprintf(w, "rg%v ", sortedKeys(es.region))
-		deps := make([]uint64, 0, len(es.deps))
-		for d := range es.deps {
-			deps = append(deps, d)
+		if c := es.claim; c != nil {
+			fmt.Fprintf(w, "cn%v cw%v cr%v ", c.nodes, c.writes, c.reads)
 		}
-		sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
-		fmt.Fprintf(w, "dep%v cl%d)", deps, es.clustersLeft)
+		fmt.Fprintf(w, "cl%d nc%d)", es.clustersLeft, es.nextCluster)
 	}
 	writeGraph(w, "mg", pi.mirG)
-	writeGraph(w, "mp", pi.mirGp)
+	fmt.Fprintf(w, "lab%v", pi.lab)
 	pi.attachMu.Lock()
 	recEpochs := make([]uint64, 0, len(pi.attachRec))
 	for e := range pi.attachRec {
@@ -321,7 +322,7 @@ func (s *Sim) writeState(w io.Writer) {
 		fmt.Fprintf(w, "gone%v ", sortedKeys(s.gone))
 	}
 	for _, e := range sortedKeysU64(nw.epochHops) {
-		writeHopMap(w, e, nw.epochHops[e])
+		writeFloodRecord(w, e, nw.epochHops[e])
 	}
 	for _, e := range sortedKeysU64(nw.batchClusters) {
 		cs := append([]batchCluster(nil), nw.batchClusters[e]...)
@@ -352,10 +353,10 @@ func sortedKeysU64[V any](m map[uint64]V) []uint64 {
 	return ks
 }
 
-func writeHopMap(w io.Writer, epoch uint64, m map[int]int) {
-	fmt.Fprintf(w, "hops%d{", epoch)
-	for _, v := range sortedKeys(m) {
-		fmt.Fprintf(w, "%d:%d,", v, m[v])
+func writeFloodRecord(w io.Writer, epoch uint64, rec *floodRecord) {
+	fmt.Fprintf(w, "hops%d/%d{", epoch, rec.label)
+	for _, v := range sortedKeys(rec.hops) {
+		fmt.Fprintf(w, "%d:%d,", v, rec.hops[v])
 	}
 	fmt.Fprint(w, "}")
 }

@@ -77,8 +77,8 @@ const (
 	// inside the window, then drains and asserts full equivalence at
 	// each window boundary. The equivalence demanded at a flush point is
 	// the same bit-exact one Lockstep demands — including the Lemma 9
-	// flood accounting, which survives pipelining because floods stay
-	// confined to their epoch's conflict region.
+	// flood accounting, which survives pipelining because no concurrent
+	// epoch reads or writes the labels a flood rewrites.
 	Pipelined
 )
 
@@ -262,7 +262,8 @@ func ReplayDifferentialMode(cfg Config, mode DiffMode, timeout time.Duration) (D
 }
 
 // diffCheck asserts exact equality of the distributed snapshot and the
-// sequential state.
+// sequential state, and that the epoch scheduler's label mirror matches
+// the labels the nodes hold.
 func diffCheck(event int, nw *dist.Network, seq *core.State) error {
 	snap := nw.Snapshot()
 	if !snap.G.Equal(seq.G) {
@@ -277,6 +278,9 @@ func diffCheck(event int, nw *dist.Network, seq *core.State) error {
 	for _, v := range seq.G.AliveNodes() {
 		if snap.CurID[v] != seq.CurID(v) {
 			return fmt.Errorf("event %d: node %d label %d, sequential %d", event, v, snap.CurID[v], seq.CurID(v))
+		}
+		if snap.LabelMirror[v] != snap.CurID[v] {
+			return fmt.Errorf("event %d: node %d label %d, scheduler's label mirror %d", event, v, snap.CurID[v], snap.LabelMirror[v])
 		}
 		if snap.Delta[v] != seq.Delta(v) {
 			return fmt.Errorf("event %d: node %d δ %d, sequential %d", event, v, snap.Delta[v], seq.Delta(v))
